@@ -17,13 +17,19 @@
 //! cargo run --release -p kyoto-bench --bin figures -- --trace-out trace.json all
 //! ```
 //!
+//! `all` renders every target once; the `fleet` table already includes the
+//! churn sweep, so `churn` (that half alone) is only rendered when named.
+//! Parsing is strict: an unknown flag or target, `--jobs` without a positive
+//! integer, or `--trace-out`/`--scenario` without a value prints the usage
+//! to stderr and exits with status 2.
+//!
 //! Figure scenarios are independent: each builds its own machine, engine and
 //! hypervisor from the shared [`ExperimentConfig`] and derives deterministic
-//! per-VM seeds from it. `--jobs N` therefore runs them on `N` scoped worker
-//! threads (the cloudscale and fleet sweeps additionally fan their own
-//! cells out over the same budget); outputs are buffered and printed in the
-//! requested order, so the report is byte-identical whatever the
-//! parallelism. The `fleet` scenario (the `kyoto-cluster` subsystem,
+//! per-VM seeds from it. `--jobs N` therefore runs them on `N` worker
+//! threads through [`run_jobs`] (the cloudscale and fleet sweeps
+//! additionally fan their own cells out over the same budget); outputs are
+//! buffered and printed in the requested order, so the report is
+//! byte-identical whatever the parallelism. The `fleet` scenario (the `kyoto-cluster` subsystem,
 //! including its churn sweep — `churn` renders that half alone) runs its
 //! cluster cells on scoped threads when `--parallel-engine` is set — also
 //! bit-identically.
@@ -48,15 +54,21 @@ use kyoto_experiments::cloudscale::{self, CloudscaleSweep};
 use kyoto_experiments::config::ExperimentConfig;
 use kyoto_experiments::failures::{self, FailureSweep};
 use kyoto_experiments::fleet::{self, FleetSweep};
+use kyoto_experiments::harness::run_jobs;
 use kyoto_experiments::service::{self, ServiceSweep};
 use kyoto_experiments::{
     fig1, fig10, fig11, fig12, fig2, fig3, fig4, fig5, fig6, fig8, fig9, interactive, tables,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const ALL_TARGETS: [&str; 19] = [
+const USAGE: &str = "usage: figures [--quick] [--parallel-engine] [--no-timing] [--jobs N] \
+[--scenario NAME] [--trace-out PATH] [TARGET...]
+targets: all, churn, table1, table2, fig1-fig6, fig8-fig12, cloudscale, fleet, failures, \
+service, interactive";
+
+/// What `all` renders. `churn` is left out because the `fleet` table already
+/// appends the churn sweep.
+const ALL_TARGETS: [&str; 18] = [
     "table1",
     "table2",
     "fig1",
@@ -72,19 +84,13 @@ const ALL_TARGETS: [&str; 19] = [
     "fig12",
     "cloudscale",
     "fleet",
-    "churn",
     "failures",
     "service",
     "interactive",
 ];
 
-fn render_target(
-    target: &str,
-    config: &ExperimentConfig,
-    quick: bool,
-    jobs: usize,
-) -> Option<String> {
-    Some(match target {
+fn render_target(target: &str, config: &ExperimentConfig, quick: bool, jobs: usize) -> String {
+    match target {
         "table1" => tables::table1().to_table(),
         "table2" => tables::table2().to_table(),
         "fig1" => fig1::run(config).to_table(),
@@ -166,79 +172,70 @@ fn render_target(
             // under KS4Xen — the CI determinism gate's interactive target.
             interactive::run(config).to_table()
         }
-        _ => return None,
-    })
+        other => unreachable!("target `{other}` passed parse_args"),
+    }
 }
 
-/// A rendered target: its table (when the name was known) plus how long the
-/// scenario took.
-type Rendered = (Option<String>, Duration);
-
-/// Renders every target on up to `jobs` worker threads, returning outputs in
-/// input order.
-fn render_all(
-    targets: &[&str],
-    config: &ExperimentConfig,
-    jobs: usize,
+/// The parsed command line.
+struct Options {
     quick: bool,
-) -> Vec<Rendered> {
-    let results: Mutex<Vec<Option<Rendered>>> = Mutex::new(vec![None; targets.len()]);
-    let cursor = AtomicUsize::new(0);
-    let workers = jobs.clamp(1, targets.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(target) = targets.get(index) else {
-                    break;
-                };
-                let start = Instant::now();
-                let output = render_target(target, config, quick, jobs);
-                let elapsed = start.elapsed();
-                results.lock().expect("no poisoned worker")[index] = Some((output, elapsed));
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("no poisoned worker")
-        .into_iter()
-        .map(|entry| entry.expect("every target rendered"))
-        .collect()
+    parallel_engine: bool,
+    no_timing: bool,
+    jobs: usize,
+    trace_out: Option<String>,
+    targets: Vec<String>,
 }
 
-fn parse_jobs(args: &[String]) -> usize {
-    let default = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+/// Parses the command line, rejecting anything it does not understand.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        quick: false,
+        parallel_engine: false,
+        no_timing: false,
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        trace_out: None,
+        targets: Vec::new(),
     };
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(value) = arg.strip_prefix("--jobs=") {
-            return value.parse().unwrap_or_else(|_| default()).max(1);
-        }
-        if arg == "--jobs" {
-            // Only a numeric follower is the value; `--jobs fig1` keeps
-            // fig1 as a target and uses the default parallelism.
-            if let Some(jobs) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                return 1usize.max(jobs);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => options.quick = true,
+            "--parallel-engine" => options.parallel_engine = true,
+            "--no-timing" => options.no_timing = true,
+            _ if !arg.starts_with('-') => options.targets.push(arg.clone()),
+            _ => {
+                let (flag, inline) = arg
+                    .split_once('=')
+                    .map_or((arg.as_str(), None), |(flag, value)| (flag, Some(value)));
+                if !matches!(flag, "--jobs" | "--trace-out" | "--scenario") {
+                    return Err(format!("unknown flag `{arg}`"));
+                }
+                let value = match inline {
+                    Some(value) => value,
+                    None => args.next().map_or("", |v| v.as_str()),
+                };
+                if value.is_empty() || value.starts_with("--") {
+                    return Err(format!("`{flag}` needs a value"));
+                }
+                match flag {
+                    "--jobs" => match value.parse() {
+                        Ok(jobs) if jobs > 0 => options.jobs = jobs,
+                        _ => {
+                            return Err(format!("`--jobs` needs a positive integer, got `{value}`"))
+                        }
+                    },
+                    "--trace-out" => options.trace_out = Some(value.to_string()),
+                    _ => options.targets.push(value.to_string()),
+                }
             }
-            return default();
         }
     }
-    default()
-}
-
-fn parse_trace_out(args: &[String]) -> Option<String> {
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(path) = arg.strip_prefix("--trace-out=") {
-            return Some(path.to_string());
-        }
-        if arg == "--trace-out" {
-            return args.get(i + 1).cloned();
+    for target in &options.targets {
+        if !(target == "all" || target == "churn" || ALL_TARGETS.contains(&target.as_str())) {
+            return Err(format!("unknown target `{target}`"));
         }
     }
-    None
+    Ok(options)
 }
 
 /// Captures the selected targets' representative traces and writes the
@@ -263,61 +260,18 @@ fn write_trace(path: &str, targets: &[&str], config: &ExperimentConfig) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let parallel_engine = args.iter().any(|a| a == "--parallel-engine");
-    let no_timing = args.iter().any(|a| a == "--no-timing");
-    let jobs = parse_jobs(&args);
+    let options = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("figures: {error}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let (quick, jobs) = (options.quick, options.jobs);
     let config = if quick {
         figures_quick_config()
     } else {
         figures_config()
     }
-    .with_parallel_engine(parallel_engine);
-    let trace_out = parse_trace_out(&args);
-    let mut skip_next = false;
-    let mut skip_path = false;
-    let mut targets: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_path {
-                // `--trace-out`'s follower is always its value.
-                skip_path = false;
-                return false;
-            }
-            if skip_next {
-                skip_next = false;
-                // Consume the value only when it is numeric; `--jobs fig1`
-                // keeps fig1 as a target.
-                if a.parse::<usize>().is_ok() {
-                    return false;
-                }
-            }
-            if a.as_str() == "--jobs" {
-                skip_next = true;
-                return false;
-            }
-            if a.as_str() == "--trace-out" {
-                skip_path = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(|a| a.as_str())
-        .collect();
-    // `--scenario NAME` selects a target explicitly (equivalent to passing
-    // NAME positionally; the value is already kept by the filter above).
-    for (i, arg) in args.iter().enumerate() {
-        let name = match arg.strip_prefix("--scenario=") {
-            Some(name) => Some(name),
-            None if arg == "--scenario" => args.get(i + 1).map(|a| a.as_str()),
-            None => None,
-        };
-        if let Some(name) = name {
-            if !targets.contains(&name) {
-                targets.push(name);
-            }
-        }
-    }
+    .with_parallel_engine(options.parallel_engine);
+    let mut targets: Vec<&str> = options.targets.iter().map(String::as_str).collect();
     if targets.is_empty() || targets.contains(&"all") {
         targets = ALL_TARGETS.to_vec();
     }
@@ -327,25 +281,22 @@ fn main() {
     );
     println!("{}", "=".repeat(72));
     let start = Instant::now();
-    for (target, (output, elapsed)) in targets
-        .iter()
-        .zip(render_all(&targets, &config, jobs, quick))
-    {
-        match output {
-            Some(table) => {
-                println!("{table}");
-                if !no_timing {
-                    println!("[{} generated in {:.1?}]", target, elapsed);
-                }
-            }
-            None => eprintln!("unknown target `{target}` (known: {ALL_TARGETS:?})"),
+    let rendered = run_jobs(targets.len(), jobs, |index| {
+        let start = Instant::now();
+        let table = render_target(targets[index], &config, quick, jobs);
+        (table, start.elapsed())
+    });
+    for (target, (table, elapsed)) in targets.iter().zip(rendered) {
+        println!("{table}");
+        if !options.no_timing {
+            println!("[{} generated in {:.1?}]", target, elapsed);
         }
         println!("{}", "=".repeat(72));
     }
-    if !no_timing {
+    if !options.no_timing {
         println!("[all targets done in {:.1?}]", start.elapsed());
     }
-    if let Some(path) = trace_out {
-        write_trace(&path, &targets, &config);
+    if let Some(path) = &options.trace_out {
+        write_trace(path, &targets, &config);
     }
 }

@@ -1,8 +1,8 @@
 //! Measures the raw simulation substrate and writes `BENCH_substrate.json`.
 //!
-//! The figure benches tell us what a whole scenario costs; this binary
-//! isolates the two hot paths underneath every scenario — `Cache::access`
-//! and `SimEngine::run_slots` — and records their throughput, plus the
+//! `perfbench/` times what a whole scenario costs; this binary isolates the
+//! two hot paths underneath every scenario — `Cache::access` and
+//! `SimEngine::run_slots` — and records their throughput, plus the
 //! speedup of the batched/epoch engine path over the per-op reference path,
 //! as a committed JSON baseline. Subsequent PRs rerun it to track the
 //! substrate's performance trajectory (see `DESIGN.md` for how to read the

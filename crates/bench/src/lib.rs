@@ -1,14 +1,13 @@
-//! # kyoto-bench — benchmark harness for the Kyoto reproduction
+//! # kyoto-bench — figure regeneration and substrate baseline binaries
 //!
 //! * the [`figures`](../figures/index.html) binary regenerates every table
 //!   and figure of the paper (`cargo run -p kyoto-bench --bin figures --release -- all`);
-//! * `benches/figures_bench.rs` measures the scenario generation of each
-//!   figure with Criterion;
-//! * `benches/ablation_bench.rs` runs the design-choice ablations called out
-//!   in `DESIGN.md` (LLC replacement policy, monitoring strategy, tick
-//!   length);
-//! * `benches/substrate_bench.rs` measures the raw substrate (cache lookups,
-//!   engine throughput, scheduler decisions).
+//! * the `substrate_baseline` binary measures the raw substrate (cache
+//!   lookups, engine throughput, the seed baseline in [`legacy`]) and writes
+//!   `BENCH_substrate.json`.
+//!
+//! End-to-end and per-layer timings of the whole program are taken from
+//! outside by the standalone `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,8 +16,8 @@ pub mod legacy;
 
 use kyoto_experiments::config::ExperimentConfig;
 
-/// The configuration used by the Criterion benches: small enough that each
-/// iteration completes in well under a second, large enough that contention
+/// The configuration used by `substrate_baseline`: small enough that each
+/// repetition completes in well under a second, large enough that contention
 /// phenomena are visible.
 pub fn bench_config() -> ExperimentConfig {
     ExperimentConfig {

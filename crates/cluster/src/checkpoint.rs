@@ -19,13 +19,11 @@
 use crate::cluster::{Cell, ClusterConfig, EpochReport, FleetVm, FleetVmReport, Orphan};
 use crate::faults::{FaultCounts, FaultPlan};
 use kyoto_trace::TraceSink;
-use serde::{Deserialize, Serialize};
 
 /// A deep copy of a [`Cluster`](crate::cluster::Cluster) at an epoch
 /// boundary. Opaque by design — the only useful operation is
 /// [`Cluster::restore`](crate::cluster::Cluster::restore) — but a few
 /// read-only accessors support sanity checks without a restore.
-#[derive(Serialize, Deserialize)]
 pub struct FleetCheckpoint {
     pub(crate) config: ClusterConfig,
     pub(crate) cells: Vec<Cell>,

@@ -63,7 +63,6 @@ use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
 use kyoto_sim::workload::Workload;
 use kyoto_trace::{TraceConfig, TraceSink};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Control-cursor positions reserved per epoch: at every epoch boundary the
@@ -73,7 +72,7 @@ use std::collections::BTreeMap;
 const CONTROL_EPOCH_STRIDE: u64 = 1 << 20;
 
 /// Static configuration of a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of cells (machines).
     pub cells: usize,
@@ -304,7 +303,7 @@ impl Cell {
 
 /// Lifetime counters of a fleet VM, accumulated across every cell it lived
 /// on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Totals {
     pmcs: PmcSet,
     cycles_run: u64,
@@ -401,7 +400,7 @@ impl Orphan {
 }
 
 /// What the fleet-dynamics events of one epoch boundary did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// VMs admitted by arrival events.
     pub arrivals: u64,
@@ -416,7 +415,7 @@ pub struct EventCounts {
 }
 
 /// Aggregate of one cell over one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellEpochStats {
     /// The cell.
     pub cell: CellId,
@@ -438,7 +437,7 @@ pub struct CellEpochStats {
 
 /// What one epoch did: per-cell aggregates plus the migrations planned at
 /// its boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
     /// Epoch index (0-based).
     pub epoch: u64,
@@ -456,7 +455,7 @@ pub struct EpochReport {
 }
 
 /// Fleet-wide execution report of one VM, spanning every cell it lived on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetVmReport {
     /// The VM.
     pub vm: FleetVmId,

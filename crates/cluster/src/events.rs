@@ -22,11 +22,10 @@
 
 use crate::snapshot::CellId;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One fleet-dynamics event, applied at an epoch boundary before the epoch
 /// runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetEvent {
     /// A new VM arrives. The cluster admits it onto the open (non-draining)
     /// cell with the most free cores; when every cell is draining or full,
@@ -48,7 +47,7 @@ pub enum FleetEvent {
 
 /// Configuration of an [`EventSchedule`]: seeded churn rates plus scripted
 /// maintenance events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventScheduleConfig {
     /// Seed of the arrival/departure streams.
     pub seed: u64,
@@ -99,7 +98,7 @@ impl EventScheduleConfig {
 }
 
 /// A deterministic stream of fleet events, indexed by epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventSchedule {
     config: EventScheduleConfig,
 }

@@ -30,11 +30,10 @@
 
 use crate::events::draw_count;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Where in the migration protocol an aborted move fails. Later points are
 /// strictly more expensive for the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AbortPoint {
     /// Pre-copy fails before the VM is ever suspended: the move is simply
     /// cancelled. The VM keeps running at the source; nothing is charged.
@@ -52,7 +51,7 @@ pub enum AbortPoint {
 }
 
 /// One injected fault, applied at an epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
     /// A cell crashes: residents are orphaned into the retry queue, the
     /// machine reboots empty after the configured down time. `pick` selects
@@ -81,7 +80,7 @@ pub enum FaultEvent {
 
 /// Configuration of a [`FaultPlan`]: seeded fault rates, recovery
 /// parameters, and scripted faults for tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanConfig {
     /// Seed of the fault streams (independent of the churn seed).
     pub seed: u64,
@@ -197,7 +196,7 @@ impl Default for RecoveryParams {
 }
 
 /// A deterministic stream of fault events, indexed by epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     config: FaultPlanConfig,
 }
@@ -265,7 +264,7 @@ impl FaultPlan {
 /// [`EpochReport`](crate::cluster::EpochReport). Nothing is silently
 /// dropped: every orphan eventually shows up as `readmitted` or
 /// `rejected_orphans`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Cells crashed this epoch.
     pub crashes: u64,

@@ -37,11 +37,10 @@
 //!   total downtime can never exceed the fixed-budget planner's.
 
 use crate::snapshot::{CellId, CellSnapshot, ClusterSnapshot, FleetVmId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// How the cluster re-places VMs at epoch boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConsolidationPolicy {
     /// Equalise VM counts across cells.
     LoadBalance,
@@ -79,7 +78,7 @@ impl ConsolidationPolicy {
 }
 
 /// One VM live migration: `vm` leaves `from` and arrives on `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationMove {
     /// The VM to migrate.
     pub vm: FleetVmId,
@@ -102,7 +101,7 @@ pub struct MigrationMove {
 ///   penalty *emerges* from the cache simulation itself rather than being
 ///   charged as a constant. [`MigrationCostModel::cold_lines`] estimates how
 ///   many lines must be re-fetched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationCostModel {
     /// Scheduler ticks the VM runs nowhere after a move.
     pub downtime_ticks: u64,
@@ -148,7 +147,7 @@ impl MigrationCostModel {
 }
 
 /// A batch of migrations for one epoch boundary.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MigrationPlan {
     /// The moves, in application order.
     pub moves: Vec<MigrationMove>,
@@ -234,7 +233,7 @@ impl MigrationPlan {
 }
 
 /// Static planner configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Maximum migrations per epoch boundary (models the migration
     /// bandwidth of the fleet's network).
@@ -402,7 +401,7 @@ impl PlanState {
 }
 
 /// The deterministic migration planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationPlanner {
     config: PlannerConfig,
 }

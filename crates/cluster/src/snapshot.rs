@@ -6,11 +6,10 @@
 //! values (no references into cells), so the planner is a pure function of
 //! it — the determinism property tests exploit exactly that.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a cell (one machine + hypervisor) within the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(pub usize);
 
 impl fmt::Display for CellId {
@@ -21,7 +20,7 @@ impl fmt::Display for CellId {
 
 /// Fleet-wide identifier of a VM. Stable across migrations, unlike the
 /// per-cell `VmId` a hypervisor hands out locally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FleetVmId(pub u32);
 
 impl fmt::Display for FleetVmId {
@@ -32,7 +31,7 @@ impl fmt::Display for FleetVmId {
 
 /// What one VM did during the last epoch (all counters are epoch deltas, not
 /// lifetime totals).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmSnapshot {
     /// The VM.
     pub vm: FleetVmId,
@@ -64,7 +63,7 @@ pub struct VmSnapshot {
 }
 
 /// One cell at an epoch boundary: capacity plus the VMs it hosts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSnapshot {
     /// The cell.
     pub cell: CellId,
@@ -110,7 +109,7 @@ impl CellSnapshot {
 }
 
 /// The whole fleet at an epoch boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// Epoch index this snapshot closes (0-based).
     pub epoch: u64,

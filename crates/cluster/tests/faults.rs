@@ -584,7 +584,11 @@ fn a_blocked_vm_rides_through_a_crash_and_its_pending_wake_still_fires() {
     // sleeper is orphaned mid-sleep with wake clock 4.
     cluster.run_epoch().unwrap();
     assert_eq!(cluster.orphan_count(), 1);
-    assert_eq!(cluster.vcpu_state(sleeper), None, "orphans are resident nowhere");
+    assert_eq!(
+        cluster.vcpu_state(sleeper),
+        None,
+        "orphans are resident nowhere"
+    );
     assert_eq!(cluster.wake_clock(sleeper), None);
 
     // Epoch 2: the retry is due; the sleeper lands on cell 1 *still
@@ -605,7 +609,10 @@ fn a_blocked_vm_rides_through_a_crash_and_its_pending_wake_still_fires() {
     // the drained burst parks the vCPU again.
     cluster.run_epoch().unwrap();
     let report = cluster.report(sleeper).unwrap();
-    assert_eq!(report.ticks_scheduled, 2, "the pending wake fired after recovery");
+    assert_eq!(
+        report.ticks_scheduled, 2,
+        "the pending wake fired after recovery"
+    );
     assert_eq!(cluster.wake_clock(sleeper), Some(11));
     assert_eq!(cluster.vcpu_state(sleeper), Some(VcpuState::Blocked));
     assert_eq!(

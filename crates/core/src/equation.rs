@@ -12,7 +12,6 @@
 //! Equation 1 ranks polluters better.
 
 use kyoto_sim::pmc::PmcSet;
-use serde::{Deserialize, Serialize};
 
 /// Computes Equation 1: LLC misses per millisecond of CPU time.
 ///
@@ -47,7 +46,7 @@ pub fn llcm_indicator(llc_misses: u64, instructions: u64, window_instructions: u
 pub const PAPER_SAMPLING_WINDOW_INSTRUCTIONS: u64 = 100_000_000;
 
 /// A pollution-indicator kind, used by the Fig. 4 comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Indicator {
     /// Equation 1 (misses per millisecond of CPU time).
     Equation1,

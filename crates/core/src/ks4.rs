@@ -25,11 +25,10 @@ use kyoto_hypervisor::pisces::PiscesScheduler;
 use kyoto_hypervisor::scheduler::{ExecOverrides, Priority, Scheduler, TickReport};
 use kyoto_hypervisor::vm::{VcpuId, VmConfig, VmId};
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Static configuration of a Kyoto scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KyotoConfig {
     /// Core frequency in kHz (the `cpu_freq_khz` term of Equation 1).
     pub freq_khz: u64,

@@ -21,11 +21,10 @@
 //!   it reports (Fig. 11).
 
 use kyoto_hypervisor::vm::VcpuId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the socket-dedication monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SocketDedicationConfig {
     /// Length of one sampling window, in scheduler ticks.
     pub sampling_ticks: u64,
@@ -56,7 +55,7 @@ impl Default for SocketDedicationConfig {
 }
 
 /// How the Kyoto scheduler attributes LLC statistics to individual vCPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum MonitoringStrategy {

@@ -14,13 +14,12 @@
 //!   `OVER` and cannot use the processor until its quota becomes positive
 //!   again.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A booked pollution permit: LLC misses per millisecond of CPU time.
 ///
 /// The paper writes `250k·v` for a VM `v` whose permit is 250 000.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct LlcCap(f64);
 
 impl LlcCap {
@@ -65,7 +64,7 @@ impl From<f64> for LlcCap {
 }
 
 /// Runtime pollution-quota accounting for one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PollutionQuota {
     booked: LlcCap,
     quota: f64,

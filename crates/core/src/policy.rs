@@ -11,12 +11,11 @@
 //! `pollution_permits` example can show the full provider workflow.
 
 use crate::permit::LlcCap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Families of bookable instance types, mirroring the EC2 families the paper
 /// cites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstanceFamily {
     /// General-purpose instances (balanced CPU/memory), e.g. EC2 M3.
     GeneralPurpose,
@@ -65,7 +64,7 @@ impl fmt::Display for InstanceFamily {
 }
 
 /// A bookable instance type: a family plus a size (number of vCPUs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceType {
     /// The family.
     pub family: InstanceFamily,
@@ -94,7 +93,7 @@ impl InstanceType {
 }
 
 /// The provider's permit catalogue: maps instance types to pollution permits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PermitCatalog {
     /// Pollution permit granted per GiB of instance memory, in misses/ms.
     pub permit_per_gib: f64,
@@ -147,7 +146,7 @@ impl PermitCatalog {
 }
 
 /// A priced booking.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bill {
     /// What was booked.
     pub instance: InstanceType,

@@ -120,7 +120,10 @@ fn sampling_windows_skip_blocked_vcpus_and_still_estimate_the_busy_ones() {
     let sampler = hv.scheduler().sampler().unwrap();
     assert!(sampler.is_blocked(sleepy), "the block reached the sampler");
     assert!(!sampler.is_blocked(busy));
-    assert!(sampler.samples_taken() > 0, "the busy vCPU was still sampled");
+    assert!(
+        sampler.samples_taken() > 0,
+        "the busy vCPU was still sampled"
+    );
     assert_eq!(
         sampler.samples_skipped(),
         0,

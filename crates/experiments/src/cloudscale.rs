@@ -30,7 +30,6 @@ use kyoto_hypervisor::vm::VmConfig;
 use kyoto_hypervisor::xen_hypervisor;
 use kyoto_sim::workload::Workload;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// The heterogeneous application mix cycled across the VMs of a cell:
 /// cache-sensitive, streaming/disruptive and compute-bound apps interleaved
@@ -47,7 +46,7 @@ pub const APP_MIX: [SpecApp; 8] = [
 ];
 
 /// The sweep a cloudscale run covers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CloudscaleSweep {
     /// Socket counts of the machines to build.
     pub socket_counts: Vec<usize>,
@@ -94,7 +93,7 @@ impl CloudscaleSweep {
 
 /// PMC aggregates of all VMs placed on one socket, over the measurement
 /// window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SocketAggregate {
     /// The socket.
     pub socket: usize,
@@ -133,7 +132,7 @@ impl SocketAggregate {
 }
 
 /// One cell of the sweep: a machine size, a VM count and a placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudscaleCell {
     /// Sockets of the machine.
     pub sockets: usize,
@@ -166,7 +165,7 @@ impl CloudscaleCell {
 
 /// Per-socket aggregate of the Kyoto-on-cloudscale run: what KS4Xen's
 /// punishment machinery did on each socket of the big machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KyotoSocketAggregate {
     /// The socket.
     pub socket: usize,
@@ -184,7 +183,7 @@ pub struct KyotoSocketAggregate {
 
 /// The Kyoto-on-cloudscale figure: KS4Xen with permits across the N-socket
 /// machine, against the same placement under plain XCS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KyotoCloudCell {
     /// Sockets of the machine.
     pub sockets: usize,
@@ -217,7 +216,7 @@ impl KyotoCloudCell {
 }
 
 /// The cloudscale dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudscaleResult {
     /// Every cell, in sweep order (socket count outer, VM count inner, then
     /// the policy-comparison cells).
@@ -533,7 +532,7 @@ pub fn run(config: &ExperimentConfig) -> CloudscaleResult {
 
 /// One point of the parallel-engine scaling curve: the same cell executed
 /// with the serial and the socket-parallel engine, timed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Sockets of the machine.
     pub sockets: usize,

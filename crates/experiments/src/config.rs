@@ -10,21 +10,20 @@
 use kyoto_hypervisor::hypervisor::HypervisorConfig;
 use kyoto_sim::topology::{Machine, MachineConfig};
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
-use serde::{Deserialize, Serialize};
 
 /// How much simulated time an experiment spends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fidelity {
     /// Short runs on a heavily scaled machine — used by unit/integration
     /// tests and quick smoke runs (seconds of wall-clock time).
     Quick,
-    /// Longer runs on a moderately scaled machine — used by the `figures`
-    /// binary and the Criterion benches.
+    /// Longer runs on a moderately scaled machine — the fidelity of the
+    /// `figures` binary without `--quick`.
     Standard,
 }
 
 /// Parameters shared by every experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// Machine scale factor (cache capacities, frequency and working sets
     /// divided by this factor).

@@ -38,11 +38,10 @@ use kyoto_cluster::snapshot::CellId;
 use kyoto_core::monitor::MonitoringStrategy;
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_metrics::degradation::degradation_percent;
-use serde::{Deserialize, Serialize};
 
 /// The sweep a failures run covers: crash rate × policy × planner mode
 /// under fixed abort and slowdown rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureSweep {
     /// Cells (machines) in the fleet.
     pub cells: usize,
@@ -140,7 +139,7 @@ impl FailureSweep {
 }
 
 /// One failures sweep point: a crash rate, a policy and a planner mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureCell {
     /// Expected cell crashes per epoch.
     pub crash_rate: f64,
@@ -186,7 +185,7 @@ pub struct FailureCell {
 
 /// The failures dataset: the fleet under every (crash rate, policy,
 /// planner mode) combination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureResult {
     /// Cells in the fleet.
     pub cells: usize,

@@ -21,10 +21,9 @@ use kyoto_hypervisor::xen_hypervisor;
 use kyoto_metrics::degradation::degradation_percent;
 use kyoto_workloads::category::Category;
 use kyoto_workloads::micro::{disruptive, representative};
-use serde::{Deserialize, Serialize};
 
 /// One bar of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig1Row {
     /// Category of the representative (measured) VM.
     pub representative: Category,
@@ -38,7 +37,7 @@ pub struct Fig1Row {
 }
 
 /// The full Fig. 1 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Result {
     /// Solo IPC of each representative VM.
     pub solo_ipc: Vec<(Category, f64)>,

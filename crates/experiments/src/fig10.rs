@@ -19,10 +19,9 @@ use kyoto_hypervisor::vm::VmConfig;
 use kyoto_hypervisor::xen_hypervisor;
 use kyoto_sim::topology::CoreId;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// One pair of bars in Fig. 10.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig10Row {
     /// The measured application.
     pub app: SpecApp,
@@ -46,7 +45,7 @@ impl Fig10Row {
 }
 
 /// The Fig. 10 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig10Result {
     /// hmmer co-located with disruptive vCPUs (heuristic 1).
     pub hmmer: Fig10Row,

@@ -17,10 +17,9 @@ use kyoto_core::monitor::MonitoringStrategy;
 use kyoto_hypervisor::vm::{VcpuId, VmConfig};
 use kyoto_hypervisor::xen_hypervisor;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// One pair of bars in Fig. 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig11Row {
     /// The application.
     pub app: SpecApp,
@@ -44,7 +43,7 @@ impl Fig11Row {
 }
 
 /// The Fig. 11 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig11Result {
     /// One row per application.
     pub rows: Vec<Fig11Row>,

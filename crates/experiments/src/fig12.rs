@@ -14,13 +14,12 @@ use kyoto_hypervisor::hypervisor::HypervisorConfig;
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_hypervisor::xen_hypervisor;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// Work amount (instructions) whose execution time the curves report.
 const FIXED_WORK_INSTRUCTIONS: f64 = 50_000_000.0;
 
 /// One point of Fig. 12.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig12Point {
     /// Scheduling time slice (tick) in milliseconds.
     pub time_slice_ms: u64,
@@ -42,7 +41,7 @@ impl Fig12Point {
 }
 
 /// The Fig. 12 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig12Result {
     /// One point per evaluated time slice.
     pub points: Vec<Fig12Point>,

@@ -18,10 +18,9 @@ use kyoto_hypervisor::xen_hypervisor;
 use kyoto_metrics::series::TimeSeries;
 use kyoto_workloads::category::Category;
 use kyoto_workloads::micro::{disruptive, representative};
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 2 dataset: one LLC-miss time series per execution mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Result {
     /// Tick duration in milliseconds (the x axis unit).
     pub tick_ms: u64,

@@ -16,7 +16,6 @@ use kyoto_hypervisor::vm::VmConfig;
 use kyoto_hypervisor::xen_hypervisor;
 use kyoto_metrics::degradation::degradation_percent;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// The cap sweep needs a finer enforcement granularity than Xen's default
 /// 3-tick slice (a cap is rounded up to whole ticks within a slice): a 3 ms
@@ -30,7 +29,7 @@ fn fine_grained_hypervisor_config(config: &ExperimentConfig) -> HypervisorConfig
 }
 
 /// One point of Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Point {
     /// The sensitive application.
     pub sensitive: SpecApp,
@@ -41,7 +40,7 @@ pub struct Fig3Point {
 }
 
 /// The Fig. 3 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// The swept cap values.
     pub caps: Vec<u32>,

@@ -19,11 +19,10 @@ use kyoto_hypervisor::xen_hypervisor;
 use kyoto_metrics::degradation::degradation_percent;
 use kyoto_metrics::kendall::{kendall_tau, rank_by_score};
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One row of Fig. 4 (one application).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Row {
     /// The application.
     pub app: SpecApp,
@@ -36,7 +35,7 @@ pub struct Fig4Row {
 }
 
 /// The Fig. 4 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Result {
     /// One row per application, in descending real-aggressiveness order.
     pub rows: Vec<Fig4Row>,

@@ -25,10 +25,9 @@ use kyoto_hypervisor::xen_hypervisor;
 use kyoto_metrics::degradation::normalized_performance;
 use kyoto_metrics::series::TimeSeries;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 5 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Result {
     /// Paper-scale permit booked by every VM in the scenario (250k).
     pub booked_llc_cap_paper: f64,

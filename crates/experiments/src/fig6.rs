@@ -16,10 +16,9 @@ use kyoto_hypervisor::vm::VmConfig;
 use kyoto_metrics::degradation::normalized_performance;
 use kyoto_sim::topology::CoreId;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 6 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {
     /// Numbers of co-located disruptor vCPUs evaluated.
     pub counts: Vec<usize>,

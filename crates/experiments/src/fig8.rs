@@ -16,14 +16,13 @@ use kyoto_core::monitor::MonitoringStrategy;
 use kyoto_hypervisor::pisces_system;
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// Work amount (instructions) whose execution time the bars report. The
 /// absolute value is arbitrary; only the ratios matter.
 const FIXED_WORK_INSTRUCTIONS: f64 = 50_000_000.0;
 
 /// The Fig. 8 dataset: execution times of `vsen1` in the four configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Result {
     /// Execution time on plain Pisces, running alone.
     pub pisces_alone: f64,

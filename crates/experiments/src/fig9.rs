@@ -15,10 +15,9 @@ use kyoto_core::monitor::{MonitoringStrategy, SocketDedicationConfig};
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_metrics::degradation::degradation_percent;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// One bar of Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig9Row {
     /// The measured application.
     pub app: SpecApp,
@@ -28,7 +27,7 @@ pub struct Fig9Row {
 }
 
 /// The Fig. 9 dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Result {
     /// One row per application.
     pub rows: Vec<Fig9Row>,

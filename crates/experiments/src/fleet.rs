@@ -46,7 +46,6 @@ use kyoto_hypervisor::vm::VmConfig;
 use kyoto_metrics::degradation::degradation_percent;
 use kyoto_sim::workload::Workload;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// The application mix cycled across the fleet's VMs: strict alternation of
 /// cache-sensitive and disruptive apps, so every policy faces the same
@@ -67,7 +66,7 @@ pub(crate) fn is_sensitive(app: SpecApp) -> bool {
 }
 
 /// The sweep a fleet run covers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSweep {
     /// Cell (machine) counts to build.
     pub cell_counts: Vec<usize>,
@@ -127,7 +126,7 @@ impl FleetSweep {
 /// The churn sweep a fleet run covers: arrival rate × policy × cost-model
 /// on/off, under a seeded departure stream and one scripted drain/join
 /// maintenance cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSweep {
     /// Cells (machines) in the churning fleet.
     pub cells: usize,
@@ -200,7 +199,7 @@ impl ChurnSweep {
 }
 
 /// One sweep cell: a fleet size, a VM population and a policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetCell {
     /// Cells (machines) in the fleet.
     pub cells: usize,
@@ -235,7 +234,7 @@ impl FleetCell {
 }
 
 /// One churn sweep point: an arrival rate, a policy and a planner mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnCell {
     /// Expected arrivals per epoch.
     pub arrival_rate: f64,
@@ -267,7 +266,7 @@ pub struct ChurnCell {
 
 /// The churn dataset: fleet dynamics under every (rate, policy, planner
 /// mode) combination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnResult {
     /// Cells in the churning fleet.
     pub cells: usize,
@@ -332,7 +331,7 @@ impl ChurnResult {
 }
 
 /// The fleet dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetResult {
     /// Paper-scale permit booked by every VM.
     pub permit_paper_kilo: f64,
@@ -465,7 +464,7 @@ fn solo_baselines(
 /// Calibrated inputs shared by every cell of one sweep run: the simulated
 /// permit each VM books, the pollution rate above which the planner counts
 /// a VM as a polluter, and the per-app solo throughput baselines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCalibration {
     /// Simulated permit (misses per CPU-ms) each VM books.
     pub permit: f64,

@@ -8,12 +8,11 @@ use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::CoreId;
 use kyoto_sim::workload::Workload;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The three co-location modes assessed in Section 2.2.4 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// The representative VM runs alone on the machine.
     Alone,
@@ -48,7 +47,7 @@ impl ExecutionMode {
 
 /// Per-VM measurement taken over the measurement window only (warm-up
 /// excluded).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// The measured VM.
     pub vm: VmId,
@@ -182,7 +181,7 @@ pub fn vm_seed(config: &ExperimentConfig, salt: u64) -> u64 {
 /// the ~1.6M misses/ms peak rate implied by the paper's traces, and every
 /// paper permit is converted with that ratio. This preserves the *relative*
 /// tightness of each permit, which is what the figures depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PermitCalibration {
     /// Simulated misses/ms corresponding to the paper's "1k" unit.
     pub sim_per_paper_kilo: f64,

@@ -24,7 +24,6 @@ use kyoto_hypervisor::vm::{VcpuId, VmConfig};
 use kyoto_sim::topology::CoreId;
 use kyoto_workloads::interactive::Interactive;
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Every interactive VM is woken by a periodic timer with this period.
 pub const WAKE_PERIOD_TICKS: u64 = 4;
@@ -34,7 +33,7 @@ pub const WAKE_PERIOD_TICKS: u64 = 4;
 const BURST_OPS: u32 = 48;
 
 /// One VM of the interactive scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteractiveRow {
     /// VM name (`svc-*` are interactive, `batch-*` are always-runnable).
     pub vm: String,
@@ -52,7 +51,7 @@ pub struct InteractiveRow {
 }
 
 /// The interactive scenario dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteractiveResult {
     /// The wake-timer period shared by the interactive VMs.
     pub wake_period_ticks: u64,
@@ -110,12 +109,7 @@ fn mean_wake_latency(
     // periodic timer wakes it at every multiple of the period.
     let wakes = (0..total_ticks).filter(|&t| t == 0 || t.is_multiple_of(period));
     let latencies: Vec<f64> = wakes
-        .filter_map(|w| {
-            scheduled
-                .iter()
-                .find(|&&s| s >= w)
-                .map(|&s| (s - w) as f64)
-        })
+        .filter_map(|w| scheduled.iter().find(|&&s| s >= w).map(|&s| (s - w) as f64))
         .collect();
     if latencies.is_empty() {
         None

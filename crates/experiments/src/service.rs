@@ -40,12 +40,11 @@ use kyoto_service::admission::{AdmissionConfig, AdmissionPolicy};
 use kyoto_service::request::{RequestTrace, RequestTraceConfig, ServiceRequest};
 use kyoto_service::service::{FleetService, ServiceConfig};
 use kyoto_sim::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// An admission policy in calibration-relative units: the contention
 /// limit is expressed as a multiple of the booked permit, and resolved to
 /// an absolute [`AdmissionPolicy`] once the sweep is calibrated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// Capacity-only admission (the baseline).
     FreeCores,
@@ -80,7 +79,7 @@ impl PolicySpec {
 }
 
 /// The sweep a service run covers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSweep {
     /// Cells (machines) behind the service.
     pub cells: usize,
@@ -187,7 +186,7 @@ impl ServiceSweep {
 }
 
 /// One service sweep point: an arrival rate and an admission policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServicePoint {
     /// Expected `PlaceVm` requests per epoch.
     pub place_rate: f64,
@@ -224,7 +223,7 @@ pub struct ServicePoint {
 
 /// The service dataset: the sweep grid plus the telemetry stream of the
 /// first point and the restart-check verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceResult {
     /// Cells behind the service.
     pub cells: usize,

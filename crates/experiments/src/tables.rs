@@ -2,10 +2,9 @@
 
 use kyoto_sim::topology::MachineConfig;
 use kyoto_workloads::spec::SpecApp;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {
     /// Component name (e.g. "LLC").
     pub component: String,
@@ -14,7 +13,7 @@ pub struct Table1Row {
 }
 
 /// Table 1: the experimental machine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1 {
     /// The rows, in the paper's order.
     pub rows: Vec<Table1Row>,
@@ -79,7 +78,7 @@ impl Table1 {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table2Row {
     /// The VM label used throughout the paper (`vsen1`, `vdis2`, ...).
     pub vm: String,
@@ -88,7 +87,7 @@ pub struct Table2Row {
 }
 
 /// Table 2: the sensitive and disruptive experimental VMs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table2 {
     /// The rows, in the paper's order.
     pub rows: Vec<Table2Row>,

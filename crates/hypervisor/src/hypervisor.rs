@@ -13,7 +13,6 @@ use kyoto_sim::engine::{ExecSlot, SimEngine};
 use kyoto_sim::pmc::{PmcSet, VirtualPmu};
 use kyoto_sim::topology::{CoreId, Machine};
 use kyoto_sim::workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
@@ -70,7 +69,7 @@ impl fmt::Display for HypervisorError {
 impl Error for HypervisorError {}
 
 /// Timing configuration of the hypervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HypervisorConfig {
     /// Tick duration in milliseconds (Xen: 10 ms).
     pub tick_ms: u64,
@@ -165,7 +164,7 @@ impl TakenVm {
 }
 
 /// One row of the per-tick execution history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickSample {
     /// Tick index (0-based).
     pub tick: u64,
@@ -1374,7 +1373,10 @@ mod tests {
         hv.run_ticks(10);
         let report = hv.report(vm).unwrap();
         assert_eq!(hv.vcpu_state(VcpuId::new(vm, 0)), Some(VcpuState::Blocked));
-        assert_eq!(report.ticks_scheduled, 1, "one burst, then WFI with no wakes");
+        assert_eq!(
+            report.ticks_scheduled, 1,
+            "one burst, then WFI with no wakes"
+        );
         assert_eq!(report.ticks_blocked, 9);
         assert_eq!(report.ticks_elapsed, 10);
         assert!((report.blocked_fraction() - 0.9).abs() < 1e-12);
@@ -1459,10 +1461,16 @@ mod tests {
 
         let mut dest = xen_hypervisor(machine());
         let new = dest.admit_vm(taken).unwrap();
-        assert_eq!(dest.vcpu_state(VcpuId::new(new, 0)), Some(VcpuState::Blocked));
+        assert_eq!(
+            dest.vcpu_state(VcpuId::new(new, 0)),
+            Some(VcpuState::Blocked)
+        );
         assert_eq!(dest.wake_clock(new), Some(5));
         dest.run_ticks(5); // wake clock 5..9: the tick-10 timer is still pending
-        assert_eq!(dest.vcpu_state(VcpuId::new(new, 0)), Some(VcpuState::Blocked));
+        assert_eq!(
+            dest.vcpu_state(VcpuId::new(new, 0)),
+            Some(VcpuState::Blocked)
+        );
         assert_eq!(dest.report(new).unwrap().ticks_scheduled, 0);
         dest.run_ticks(1); // wake clock 10: the timer fires at its original VM-local tick
         assert_eq!(dest.report(new).unwrap().ticks_scheduled, 1);

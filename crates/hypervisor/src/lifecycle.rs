@@ -23,7 +23,6 @@
 //! the destination so per-residency accounting stays local).
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The scheduling state of a vCPU.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// preemption — every tick ends the quantum) or on to Blocked (the workload
 /// asked to sleep) before the tick closes. Between ticks a vCPU is
 /// therefore always Ready or Blocked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VcpuState {
     /// Runnable: visible to the scheduler, waiting for (or holding) a core.
     Ready,
@@ -85,7 +84,7 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// [`VmConfig::with_wake_source`](crate::vm::VmConfig::with_wake_source),
 /// it travels with the VM's configuration through migration, checkpointing
 /// and the whole cluster control plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WakeSource {
     /// Seed of the interrupt stream.
     pub seed: u64,
@@ -172,7 +171,11 @@ mod tests {
             (Ready, Blocked, false),
             (Blocked, Running, false),
         ] {
-            assert_eq!(VcpuState::legal_transition(from, to), legal, "{from:?}→{to:?}");
+            assert_eq!(
+                VcpuState::legal_transition(from, to),
+                legal,
+                "{from:?}→{to:?}"
+            );
         }
         for state in [Ready, Running, Blocked] {
             assert!(VcpuState::legal_transition(state, state));

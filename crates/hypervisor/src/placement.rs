@@ -11,10 +11,9 @@
 
 use crate::vm::VmConfig;
 use kyoto_sim::topology::{CoreId, MachineConfig, NumaNode, SocketId};
-use serde::{Deserialize, Serialize};
 
 /// How a consolidation scenario spreads VMs over the machine's sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
     /// VM `i` lands on socket `i % sockets`, cores within a socket are
     /// filled round-robin. Memory follows the vCPU (always local), the
@@ -53,7 +52,7 @@ impl PlacementPolicy {
 /// Where one (single-vCPU) VM ends up: the core it is pinned to, the socket
 /// that core belongs to, and the NUMA node its memory is placed on (`None`
 /// means "local to wherever the vCPU runs", the hypervisor default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Socket the VM's core belongs to.
     pub socket: SocketId,

@@ -12,12 +12,11 @@
 use crate::vm::{VcpuId, VmConfig};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::CoreId;
-use serde::{Deserialize, Serialize};
 
 /// Scheduling priority of a vCPU, following the Xen credit scheduler's
 /// terminology: `UNDER` vCPUs still have credit (or quota) left and may run,
 /// `OVER` vCPUs have exhausted it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Priority {
     /// The vCPU has remaining credit and is eligible to run.
     Under,
@@ -27,7 +26,7 @@ pub enum Priority {
 }
 
 /// Per-tick execution report handed to [`Scheduler::account`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// Cycles the vCPU actually consumed during the tick.
     pub consumed_cycles: u64,

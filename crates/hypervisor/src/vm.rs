@@ -9,12 +9,11 @@
 use crate::lifecycle::WakeSource;
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, NumaNode};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a VM. The numeric value doubles as the cache-line owner tag
 /// used by `kyoto-sim`, so it must fit in 16 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u16);
 
 impl fmt::Display for VmId {
@@ -24,7 +23,7 @@ impl fmt::Display for VmId {
 }
 
 /// Identifier of a virtual CPU: a VM plus the vCPU index inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcpuId {
     /// Owning VM.
     pub vm: VmId,
@@ -52,7 +51,7 @@ impl fmt::Display for VcpuId {
 
 /// Static configuration of a VM, set at instantiation time by the cloud user
 /// (weight, cap, pollution permit) and the provider (placement).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmConfig {
     /// Human-readable name (typically the hosted application).
     pub name: String,
@@ -151,7 +150,7 @@ impl VmConfig {
 }
 
 /// Aggregated execution report of one VM, produced by the hypervisor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmReport {
     /// The VM.
     pub vm: VmId,

@@ -1,9 +1,7 @@
 //! Simple labelled time series, used by the trace figures (Fig. 2, Fig. 5).
 
-use serde::{Deserialize, Serialize};
-
 /// A `(time, value)` series with a label, e.g. "LLC misses per tick, alone".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     label: String,
     points: Vec<(f64, f64)>,

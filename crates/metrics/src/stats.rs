@@ -3,10 +3,8 @@
 //! point is to shrink the variance of a sensitive VM's performance across
 //! co-location scenarios.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

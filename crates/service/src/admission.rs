@@ -20,10 +20,9 @@
 
 use kyoto_cluster::error::AdmissionRejection;
 use kyoto_cluster::snapshot::{CellId, ClusterSnapshot};
-use serde::{Deserialize, Serialize};
 
 /// How the controller ranks and gates candidate cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionPolicy {
     /// Capacity only: any open cell with a free core qualifies. This is
     /// exactly the bare cluster's churn admission (most free cores, ties
@@ -50,7 +49,7 @@ impl AdmissionPolicy {
 }
 
 /// Configuration of an [`AdmissionController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// The gating policy.
     pub policy: AdmissionPolicy,
@@ -137,7 +136,7 @@ impl BoundaryView {
 /// The SLA-aware admission controller: a gating policy plus the bounded
 /// FIFO queue of deferred placement requests (stored as arrival indices,
 /// so the queue is plain data and checkpoints verbatim).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionController {
     config: AdmissionConfig,
     queue: Vec<u64>,

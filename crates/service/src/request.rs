@@ -42,14 +42,13 @@
 use kyoto_cluster::events::draw_count;
 use kyoto_cluster::snapshot::CellId;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Current on-disk trace format version.
 pub const TRACE_VERSION: u32 = 1;
 
 /// One control-plane request, addressed to the service at an epoch
 /// boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceRequest {
     /// Place a new VM. The admission controller answers admit, queue or
     /// reject; the workload itself is supplied by the replay harness's
@@ -76,7 +75,7 @@ pub enum ServiceRequest {
 
 /// Configuration of a [`RequestTrace`]: seeded request rates plus scripted
 /// entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTraceConfig {
     /// Seed of the generated request streams.
     pub seed: u64,
@@ -134,7 +133,7 @@ impl RequestTraceConfig {
 
 /// A deterministic, replayable stream of control-plane requests, indexed
 /// by epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
     config: RequestTraceConfig,
 }

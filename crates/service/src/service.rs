@@ -41,7 +41,6 @@ use kyoto_cluster::error::{AdmissionRejection, ClusterError};
 use kyoto_cluster::snapshot::{CellId, FleetVmId};
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_sim::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionConfig;
 
@@ -53,7 +52,7 @@ use crate::admission::AdmissionConfig;
 pub type SpawnFn<'a> = &'a mut dyn FnMut(u64) -> (VmConfig, Box<dyn Workload>);
 
 /// Configuration of a [`FleetService`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceConfig {
     /// Admission policy and queue bound.
     pub admission: AdmissionConfig,
@@ -66,7 +65,7 @@ pub struct ServiceConfig {
 /// A restartable copy of the whole service at an epoch boundary: the deep
 /// fleet checkpoint plus the service's own request-side state. Opaque by
 /// design; [`FleetService::restore`] is the only consumer.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct ServiceCheckpoint {
     fleet: FleetCheckpoint,
     trace: RequestTrace,

@@ -29,7 +29,6 @@
 
 use kyoto_cluster::faults::FaultCounts;
 use kyoto_cluster::snapshot::CellId;
-use serde::{Deserialize, Serialize};
 
 /// Current telemetry record schema version.
 pub const TELEMETRY_VERSION: u32 = 1;
@@ -39,7 +38,7 @@ pub const TELEMETRY_VERSION: u32 = 1;
 /// The conservation invariant the property tests enforce:
 /// `requested == admitted + rejected_saturated + rejected_contention +
 /// queue_len` (every placement request is in exactly one bucket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionLedger {
     /// Placement requests received (trace `PlaceVm` plus synchronous
     /// `try_place` calls).
@@ -96,7 +95,7 @@ impl AdmissionLedger {
 }
 
 /// One cell's aggregates for one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellTelemetry {
     /// The cell.
     pub cell: CellId,
@@ -123,7 +122,7 @@ pub struct CellTelemetry {
 /// One published telemetry record: the fleet, the admission ledger and
 /// the fault ledger as of one epoch boundary. See the module docs for the
 /// field-by-field schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
     /// Schema version; always [`TELEMETRY_VERSION`] for records this
     /// crate builds.
@@ -196,7 +195,7 @@ impl TelemetryRecord {
 /// fall back to the in-memory ledger and `engine_cycles` is 0.
 ///
 /// [`QueryTelemetry`]: crate::request::ServiceRequest::QueryTelemetry
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryQueryReply {
     /// Epochs the fleet had completed when the query was served.
     pub epoch: u64,
@@ -230,7 +229,7 @@ impl TelemetryQueryReply {
 }
 
 /// The append-only record stream the service publishes onto.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetryLog {
     records: Vec<TelemetryRecord>,
 }

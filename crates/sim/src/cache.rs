@@ -9,7 +9,6 @@
 
 use crate::error::SimError;
 use crate::replacement::{InsertPosition, ReplacementPolicy, ReplacementState};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of the entity (typically a VM) that owns a cache line.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub type OwnerId = u16;
 
 /// Geometry of a cache.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -99,7 +98,7 @@ impl CacheConfig {
 }
 
 /// Aggregate statistics for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of lookups.
     pub accesses: u64,

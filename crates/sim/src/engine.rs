@@ -1683,7 +1683,11 @@ mod tests {
             .with_blocked(true);
         let reports = e.run_slots(std::slice::from_mut(&mut blocked), 3_000);
         assert_eq!(reports[0], QuantumReport::default());
-        assert_eq!(e.elapsed_cycles(), elapsed, "blocked calls charge no cycles");
+        assert_eq!(
+            e.elapsed_cycles(),
+            elapsed,
+            "blocked calls charge no cycles"
+        );
         assert_eq!(e.carried_op_buffers(), carried);
     }
 
@@ -1719,10 +1723,7 @@ mod tests {
         // Sleep well past CARRY_STALE_AFTER (1024) + the prune interval.
         let slept = run(1300);
         let awake = run(0);
-        assert!(
-            slept.abs_diff(awake) <= 4,
-            "slept={slept}, awake={awake}"
-        );
+        assert!(slept.abs_diff(awake) <= 4, "slept={slept}, awake={awake}");
     }
 
     #[test]

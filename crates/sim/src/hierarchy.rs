@@ -8,10 +8,9 @@
 
 use crate::cache::{Cache, CacheConfig, OwnerId};
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
 
 /// Kind of memory access issued by a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Instruction fetch (looked up in the L1I).
     InstructionFetch,
@@ -22,7 +21,7 @@ pub enum AccessKind {
 }
 
 /// Level of the memory hierarchy that satisfied an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemLevel {
     /// Hit in the level-1 cache.
     L1,

@@ -7,12 +7,11 @@
 //! snapshot and [`VirtualPmu`] attributes counter deltas to contexts
 //! (vCPUs) across context switches.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A snapshot of the performance counters the Kyoto monitor relies on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PmcSet {
     /// Retired instructions.
     pub instructions: u64,

@@ -8,13 +8,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Replacement policy used by a [`crate::cache::Cache`].
 ///
 /// The policy decides which way of a set is evicted on a miss in a full set
 /// and at which recency position a newly inserted line starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum ReplacementPolicy {

@@ -11,20 +11,19 @@
 use crate::cache::{Cache, CacheConfig, CacheStats, OwnerId};
 use crate::error::SimError;
 use crate::hierarchy::{AccessKind, AccessOutcome, CoreCaches, MemLevel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a physical core (global across sockets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
 /// Identifier of a socket / package.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketId(pub usize);
 
 /// Identifier of a NUMA node. On the modelled machines NUMA nodes map 1:1 to
 /// sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NumaNode(pub usize);
 
 impl fmt::Display for CoreId {
@@ -49,7 +48,7 @@ impl fmt::Display for NumaNode {
 /// testbed (Section 2.2.4): 4 / 12 / 45 / 180 cycles for L1 / L2 / LLC /
 /// memory. The remote-memory latency models the QPI hop paid after a vCPU is
 /// migrated away from its data by the socket-dedication monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// L1 hit latency.
     pub l1: u32,
@@ -89,7 +88,7 @@ impl LatencyConfig {
 }
 
 /// Full description of a simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of sockets (each socket is one NUMA node).
     pub sockets: usize,

@@ -7,10 +7,9 @@
 //! trivial implementations that are useful for tests.
 
 use crate::hierarchy::AccessKind;
-use serde::{Deserialize, Serialize};
 
 /// A single micro-operation produced by a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Pure computation consuming `cycles` core cycles (no memory traffic).
     Compute {

@@ -10,11 +10,10 @@
 //!   but still suffers additional misses under contention.
 
 use kyoto_sim::topology::MachineConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Working-set category of a VM (Section 2.2.4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// Working set fits the intermediate-level caches (L1 + L2).
     C1,

@@ -21,14 +21,13 @@ use kyoto_sim::topology::MachineConfig;
 use kyoto_sim::workload::{Op, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cache-line size assumed by the workload models.
 const LINE_SIZE: u64 = 64;
 
 /// The applications used throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum SpecApp {
     Astar,
@@ -307,7 +306,7 @@ impl fmt::Display for SpecApp {
 }
 
 /// Memory-behaviour parameters of a modelled application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecProfile {
     /// Total footprint at paper-machine scale, in bytes.
     pub working_set_bytes: u64,

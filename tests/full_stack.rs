@@ -3,7 +3,7 @@
 //! Kyoto scheduler variants.
 
 use kyoto::core::ks4::{ks4linux_hypervisor, ks4xen_hypervisor};
-use kyoto::core::monitor::MonitoringStrategy;
+use kyoto::core::monitor::{MonitoringStrategy, SocketDedicationConfig};
 use kyoto::core::policy::{InstanceFamily, InstanceType, PermitCatalog};
 use kyoto::hypervisor::{HypervisorConfig, VmConfig};
 use kyoto::sim::topology::{CoreId, Machine, MachineConfig};
@@ -43,38 +43,39 @@ fn same_seed_same_results_different_seed_different_results() {
 
 #[test]
 fn vm_lifecycle_add_remove_add_again() {
-    let mut hv = ks4xen_hypervisor(
-        machine(),
-        HypervisorConfig::default(),
+    for strategy in [
         MonitoringStrategy::DirectPmc,
-    );
-    let a = hv
-        .add_vm_with(
-            VmConfig::new("a").with_llc_cap(100.0),
-            Box::new(SpecWorkload::new(SpecApp::Blockie, SCALE, 1)),
-        )
-        .unwrap();
-    hv.run_ms(100);
-    assert!(
-        hv.report(a).unwrap().punishments > 0,
-        "blockie should exceed a 100-miss/ms permit"
-    );
-    hv.remove_vm(a).unwrap();
-    assert!(hv.report(a).is_none());
-    // The machine keeps working after the removal.
-    let b = hv
-        .add_vm_with(
-            VmConfig::new("b"),
-            Box::new(SpecWorkload::new(SpecApp::Povray, SCALE, 2)),
-        )
-        .unwrap();
-    hv.run_ms(100);
-    let report = hv.report(b).unwrap();
-    assert!(report.pmcs.instructions > 0);
-    assert_eq!(
-        report.punishments, 0,
-        "povray books no permit and is never punished"
-    );
+        MonitoringStrategy::SocketDedication(SocketDedicationConfig::default()),
+    ] {
+        let mut hv = ks4xen_hypervisor(machine(), HypervisorConfig::default(), strategy);
+        let a = hv
+            .add_vm_with(
+                VmConfig::new("a").with_llc_cap(100.0),
+                Box::new(SpecWorkload::new(SpecApp::Blockie, SCALE, 1)),
+            )
+            .unwrap();
+        hv.run_ms(100);
+        assert!(
+            hv.report(a).unwrap().punishments > 0,
+            "blockie should exceed a 100-miss/ms permit under {strategy:?}"
+        );
+        hv.remove_vm(a).unwrap();
+        assert!(hv.report(a).is_none());
+        // The machine keeps working after the removal.
+        let b = hv
+            .add_vm_with(
+                VmConfig::new("b"),
+                Box::new(SpecWorkload::new(SpecApp::Povray, SCALE, 2)),
+            )
+            .unwrap();
+        hv.run_ms(100);
+        let report = hv.report(b).unwrap();
+        assert!(report.pmcs.instructions > 0);
+        assert_eq!(
+            report.punishments, 0,
+            "povray books no permit and is never punished"
+        );
+    }
 }
 
 #[test]
