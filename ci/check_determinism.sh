@@ -30,6 +30,12 @@
 # validates it (the figures binary validates before writing; `python3 -m
 # json.tool` re-checks externally when python3 is on PATH).
 #
+# Comparing runs of one binary against each other cannot catch a change that
+# moves every run the same way, so the serial run is also diffed against the
+# committed golden report `ci/golden/quick.txt`. It pins `--jobs 2` because
+# the header line prints the job count. A change that alters figure output
+# on purpose regenerates the golden (command below) and justifies the diff.
+#
 # `--no-timing` suppresses the wall-clock lines, so the whole report is
 # byte-comparable. Outputs land in $DETERMINISM_OUT (default:
 # target/determinism) so CI can upload them as artifacts — trace files
@@ -42,6 +48,7 @@ set -euo pipefail
 
 bin="${FIGURES_BIN:-target/release/figures}"
 out="${DETERMINISM_OUT:-target/determinism}"
+golden="ci/golden/quick.txt"
 targets=(fig1 fig9 cloudscale fleet churn failures service interactive)
 
 if [ ! -x "$bin" ]; then
@@ -50,9 +57,16 @@ fi
 mkdir -p "$out"
 
 echo "Determinism gate over: ${targets[*]} (quick fidelity)"
-"$bin" --quick --no-timing "${targets[@]}" > "$out/serial.txt"
-"$bin" --quick --no-timing --parallel-engine "${targets[@]}" > "$out/parallel-engine.txt"
-"$bin" --quick --no-timing "${targets[@]}" > "$out/serial-rerun.txt"
+"$bin" --quick --no-timing --jobs 2 "${targets[@]}" > "$out/serial.txt"
+"$bin" --quick --no-timing --jobs 2 --parallel-engine "${targets[@]}" > "$out/parallel-engine.txt"
+"$bin" --quick --no-timing --jobs 2 "${targets[@]}" > "$out/serial-rerun.txt"
+
+if ! diff -u "$golden" "$out/serial.txt"; then
+    echo "determinism gate FAILED: figure bytes differ from $golden" >&2
+    echo "if the change is intended, regenerate the golden and justify the diff:" >&2
+    echo "  $bin --quick --no-timing --jobs 2 ${targets[*]} > $golden" >&2
+    exit 1
+fi
 
 if ! diff -u "$out/serial.txt" "$out/parallel-engine.txt"; then
     echo "determinism gate FAILED: --parallel-engine changed figure bytes" >&2

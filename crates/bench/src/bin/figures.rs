@@ -26,10 +26,10 @@
 //! Figure scenarios are independent: each builds its own machine, engine and
 //! hypervisor from the shared [`ExperimentConfig`] and derives deterministic
 //! per-VM seeds from it. `--jobs N` therefore runs them on `N` worker
-//! threads through [`run_jobs`] (the cloudscale and fleet sweeps
-//! additionally fan their own cells out over the same budget); outputs are
-//! buffered and printed in the requested order, so the report is
-//! byte-identical whatever the parallelism. The `fleet` scenario (the `kyoto-cluster` subsystem,
+//! threads through [`run_jobs`] (the cloudscale, fleet, failures and
+//! service sweeps additionally fan their own points out over the same
+//! budget); outputs are buffered and printed in the requested order, so the
+//! report is byte-identical whatever the parallelism. The `fleet` scenario (the `kyoto-cluster` subsystem,
 //! including its churn sweep — `churn` renders that half alone) runs its
 //! cluster cells on scoped threads when `--parallel-engine` is set — also
 //! bit-identically.
@@ -115,7 +115,7 @@ fn render_target(target: &str, config: &ExperimentConfig, quick: bool, jobs: usi
             // budget while other scenarios finish; scoped threads, so the
             // surplus drains with them). Output is byte-identical whatever
             // the thread count.
-            cloudscale::run_with_sweep_jobs(config, &sweep, jobs).to_table()
+            cloudscale::run(config, &sweep, jobs).to_table()
         }
         "fleet" => {
             let sweep = if quick {
@@ -125,7 +125,7 @@ fn render_target(target: &str, config: &ExperimentConfig, quick: bool, jobs: usi
             };
             // Static consolidation cells plus the churn sweep, fanned out
             // over the shared `--jobs` budget like cloudscale's cells.
-            fleet::run_with_sweep_jobs(config, &sweep, jobs).to_table()
+            fleet::run(config, &sweep, jobs).to_table()
         }
         "churn" => {
             // The churn half alone: fleet dynamics (VM arrival/departure
@@ -136,7 +136,7 @@ fn render_target(target: &str, config: &ExperimentConfig, quick: bool, jobs: usi
             } else {
                 FleetSweep::standard()
             };
-            fleet::run_churn_with_jobs(config, &sweep, jobs)
+            fleet::run_churn(config, &sweep, jobs)
                 .map(|churn| churn.to_table())
                 .unwrap_or_else(|| "Fleet churn: no churn sweep configured\n".to_string())
         }
@@ -151,7 +151,7 @@ fn render_target(target: &str, config: &ExperimentConfig, quick: bool, jobs: usi
             } else {
                 FailureSweep::standard()
             };
-            failures::run_with_sweep_jobs(config, &sweep, jobs).to_table()
+            failures::run(config, &sweep, jobs).to_table()
         }
         "service" => {
             // The fleet behind the kyoto-service control plane: a request
@@ -164,7 +164,7 @@ fn render_target(target: &str, config: &ExperimentConfig, quick: bool, jobs: usi
             } else {
                 ServiceSweep::standard()
             };
-            service::run_with_sweep_jobs(config, &sweep, jobs).to_table()
+            service::run(config, &sweep, jobs).to_table()
         }
         "interactive" => {
             // Sleep-mostly latency-sensitive VMs (Ready/Running/Blocked

@@ -467,31 +467,13 @@ pub fn run_kyoto_cell(
     }
 }
 
-/// Runs the sweep's independent cells on up to `jobs` scoped worker threads.
-/// Every cell owns its machine, hypervisor and workloads and derives its
-/// seeds from the shared config, so the assembled result — and therefore the
-/// rendered table — is byte-identical whatever the parallelism. This is the
-/// same work-stealing shape the `figures` binary uses across scenarios,
-/// applied one level down.
-fn run_cells(
-    config: &ExperimentConfig,
-    specs: &[(usize, usize, PlacementPolicy)],
-    jobs: usize,
-) -> Vec<CloudscaleCell> {
-    run_jobs(specs.len(), jobs, |index| {
-        let (sockets, vms, placement) = specs[index];
-        run_cell(config, sockets, vms, placement)
-    })
-}
-
 /// Runs the full sweep described by `sweep`, with its independent cells
 /// spread over up to `jobs` scoped worker threads (`jobs <= 1` runs
-/// serially; the output is byte-identical either way).
-pub fn run_with_sweep_jobs(
-    config: &ExperimentConfig,
-    sweep: &CloudscaleSweep,
-    jobs: usize,
-) -> CloudscaleResult {
+/// serially). Every cell owns its machine, hypervisor and workloads and
+/// derives its seeds from the shared config, so the assembled result — and
+/// therefore the rendered table — is byte-identical whatever the
+/// parallelism.
+pub fn run(config: &ExperimentConfig, sweep: &CloudscaleSweep, jobs: usize) -> CloudscaleResult {
     let mut specs: Vec<(usize, usize, PlacementPolicy)> = Vec::new();
     for &sockets in &sweep.socket_counts {
         for &per_socket in &sweep.vms_per_socket {
@@ -508,7 +490,10 @@ pub fn run_with_sweep_jobs(
             specs.push((max_sockets, max_sockets * max_per_socket, policy));
         }
     }
-    let cells = run_cells(config, &specs, jobs);
+    let cells = run_jobs(specs.len(), jobs, |index| {
+        let (sockets, vms, placement) = specs[index];
+        run_cell(config, sockets, vms, placement)
+    });
     let kyoto = sweep.kyoto.then(|| {
         run_kyoto_cell(
             config,
@@ -518,16 +503,6 @@ pub fn run_with_sweep_jobs(
         )
     });
     CloudscaleResult { cells, kyoto }
-}
-
-/// Runs the full sweep described by `sweep` on the calling thread.
-pub fn run_with_sweep(config: &ExperimentConfig, sweep: &CloudscaleSweep) -> CloudscaleResult {
-    run_with_sweep_jobs(config, sweep, 1)
-}
-
-/// Runs the standard cloudscale sweep.
-pub fn run(config: &ExperimentConfig) -> CloudscaleResult {
-    run_with_sweep(config, &CloudscaleSweep::standard())
 }
 
 /// One point of the parallel-engine scaling curve: the same cell executed
@@ -616,7 +591,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_cell_and_socket() {
         let sweep = CloudscaleSweep::small();
-        let result = run_with_sweep(&tiny_config(), &sweep);
+        let result = run(&tiny_config(), &sweep, 1);
         assert_eq!(result.cells.len(), 2);
         let cell = result
             .cell(4, 8, PlacementPolicy::RoundRobin)
@@ -637,8 +612,8 @@ mod tests {
         // (and therefore the rendered table) is identical with the serial
         // and the socket-parallel engine.
         let sweep = CloudscaleSweep::small();
-        let serial = run_with_sweep(&tiny_config(), &sweep);
-        let parallel = run_with_sweep(&tiny_config().with_parallel_engine(true), &sweep);
+        let serial = run(&tiny_config(), &sweep, 1);
+        let parallel = run(&tiny_config().with_parallel_engine(true), &sweep, 1);
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_table(), parallel.to_table());
     }
@@ -691,8 +666,8 @@ mod tests {
         // The `--jobs` satellite claim: sweep cells on scoped worker threads
         // produce the identical result (and table) as the serial sweep.
         let sweep = CloudscaleSweep::small();
-        let serial = run_with_sweep_jobs(&tiny_config(), &sweep, 1);
-        let threaded = run_with_sweep_jobs(&tiny_config(), &sweep, 4);
+        let serial = run(&tiny_config(), &sweep, 1);
+        let threaded = run(&tiny_config(), &sweep, 4);
         assert_eq!(serial, threaded);
         assert_eq!(serial.to_table(), threaded.to_table());
         assert!(serial.kyoto.is_some(), "small sweep carries the Kyoto cell");

@@ -11,17 +11,6 @@ use kyoto_hypervisor::hypervisor::HypervisorConfig;
 use kyoto_sim::topology::{Machine, MachineConfig};
 use kyoto_workloads::spec::{SpecApp, SpecWorkload};
 
-/// How much simulated time an experiment spends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Fidelity {
-    /// Short runs on a heavily scaled machine — used by unit/integration
-    /// tests and quick smoke runs (seconds of wall-clock time).
-    Quick,
-    /// Longer runs on a moderately scaled machine — the fidelity of the
-    /// `figures` binary without `--quick`.
-    Standard,
-}
-
 /// Parameters shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentConfig {
@@ -54,30 +43,11 @@ impl ExperimentConfig {
         }
     }
 
-    /// Figure-quality configuration.
-    pub fn standard() -> Self {
-        ExperimentConfig {
-            scale: 32,
-            seed: 42,
-            warmup_ticks: 12,
-            measure_ticks: 45,
-            parallel_engine: false,
-        }
-    }
-
     /// Returns the same configuration with socket-parallel engine execution
     /// enabled or disabled (see [`ExperimentConfig::parallel_engine`]).
     pub fn with_parallel_engine(mut self, parallel: bool) -> Self {
         self.parallel_engine = parallel;
         self
-    }
-
-    /// The configuration for a fidelity level.
-    pub fn for_fidelity(fidelity: Fidelity) -> Self {
-        match fidelity {
-            Fidelity::Quick => Self::quick(),
-            Fidelity::Standard => Self::standard(),
-        }
     }
 
     /// The scaled single-socket machine of Table 1.
@@ -146,14 +116,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_is_smaller_than_standard() {
-        let quick = ExperimentConfig::quick();
-        let standard = ExperimentConfig::standard();
-        assert!(quick.scale >= standard.scale);
-        assert!(quick.total_ticks() < standard.total_ticks());
-        assert_eq!(ExperimentConfig::for_fidelity(Fidelity::Quick), quick);
-        assert_eq!(ExperimentConfig::for_fidelity(Fidelity::Standard), standard);
-        assert_eq!(ExperimentConfig::default(), quick);
+    fn default_is_quick() {
+        assert_eq!(ExperimentConfig::default(), ExperimentConfig::quick());
     }
 
     #[test]

@@ -29,15 +29,11 @@
 //! `figures --scenario failures` across both modes.
 
 use crate::config::ExperimentConfig;
-use crate::fleet::{self, FleetSweep, SweepCalibration, FLEET_MIX};
+use crate::fleet::{self, SweepCalibration};
 use crate::harness::run_jobs;
-use kyoto_cluster::cluster::{Cluster, ClusterConfig};
+use kyoto_cluster::cluster::Cluster;
 use kyoto_cluster::faults::{FaultPlan, FaultPlanConfig};
-use kyoto_cluster::planner::{ConsolidationPolicy, PlannerConfig};
-use kyoto_cluster::snapshot::CellId;
-use kyoto_core::monitor::MonitoringStrategy;
-use kyoto_hypervisor::vm::VmConfig;
-use kyoto_metrics::degradation::degradation_percent;
+use kyoto_cluster::planner::ConsolidationPolicy;
 
 /// The sweep a failures run covers: crash rate × policy × planner mode
 /// under fixed abort and slowdown rates.
@@ -258,21 +254,6 @@ impl FailureResult {
     }
 }
 
-/// The fleet-sweep shim that reuses the fleet scenario's calibration
-/// (permit conversion + per-app solo baselines) at this sweep's epoch
-/// geometry.
-fn calibration_sweep(sweep: &FailureSweep) -> FleetSweep {
-    FleetSweep {
-        cell_counts: Vec::new(),
-        vms_per_cell: Vec::new(),
-        policies: Vec::new(),
-        epochs: sweep.epochs,
-        epoch_ticks: sweep.epoch_ticks,
-        permit_paper_kilo: sweep.permit_paper_kilo,
-        churn: None,
-    }
-}
-
 /// Runs one failures sweep point: seed the fleet in arrival order,
 /// install the fault plan, drive the control loop, re-verify VM
 /// conservation and fold every VM that ever ran (re-admitted, rejected
@@ -285,31 +266,22 @@ pub fn run_failure_cell(
     cost_aware: bool,
     calibration: &SweepCalibration,
 ) -> FailureCell {
-    let cluster_config = ClusterConfig::new(sweep.cells, config.scale)
-        .with_epoch_ticks(sweep.epoch_ticks)
-        .with_policy(policy)
-        .with_parallel_cells(config.parallel_engine)
-        .with_hypervisor(config.hypervisor_config())
-        .with_strategy(MonitoringStrategy::SimulatorAttribution)
-        .with_planner(
-            PlannerConfig::default()
-                .with_max_moves(4)
-                .with_polluter_threshold(calibration.polluter_threshold)
-                .with_cost_aware(cost_aware),
-        );
-    let mut cluster = Cluster::new(cluster_config);
+    let mut cluster = Cluster::new(fleet::cluster_config(
+        config,
+        sweep.cells,
+        sweep.epoch_ticks,
+        policy,
+        calibration.polluter_threshold,
+        cost_aware,
+    ));
     cluster.install_faults(sweep.plan(crash_rate));
-    let vm_count = sweep.cells * sweep.vms_per_cell;
-    for i in 0..vm_count {
-        let app = FLEET_MIX[i % FLEET_MIX.len()];
-        cluster
-            .add_vm(
-                CellId(i / sweep.vms_per_cell),
-                VmConfig::new(format!("fvm{i}-{}", app.name())).with_llc_cap(calibration.permit),
-                Box::new(config.workload(app, fleet::app_salt(i))),
-            )
-            .expect("seeding stays within cell capacity");
-    }
+    fleet::seed_fleet(
+        &mut cluster,
+        config,
+        sweep.cells,
+        sweep.vms_per_cell,
+        calibration.permit,
+    );
     cluster
         .run_epochs(sweep.epochs)
         .expect("the fault boundary handles every injected fault");
@@ -317,26 +289,7 @@ pub fn run_failure_cell(
         .verify_conservation()
         .expect("no VM is lost or duplicated under faults");
 
-    let mut sensitive = (0usize, 0.0f64);
-    let mut disruptive = (0usize, 0.0f64);
-    for report in cluster.all_reports() {
-        let app = fleet::app_of_report(&report.name);
-        let solo = calibration
-            .baselines
-            .iter()
-            .find(|(a, _)| *a == app)
-            .map(|(_, t)| *t)
-            .expect("baseline for every app in the mix");
-        let degradation = degradation_percent(solo, report.instructions_per_tick());
-        if fleet::is_sensitive(app) {
-            sensitive.0 += 1;
-            sensitive.1 += degradation;
-        } else {
-            disruptive.0 += 1;
-            disruptive.1 += degradation;
-        }
-    }
-    let mean = |(count, sum): (usize, f64)| if count == 0 { 0.0 } else { sum / count as f64 };
+    let (sensitive, disruptive) = calibration.degradation(&cluster.all_reports());
     let faults = cluster.total_faults();
     FailureCell {
         crash_rate,
@@ -354,8 +307,8 @@ pub fn run_failure_cell(
         mean_readmission_epochs: cluster.mean_readmission_latency_epochs(),
         migrations: cluster.total_migrations(),
         final_vms: cluster.reports().len(),
-        sensitive_degradation_pct: mean(sensitive),
-        disruptive_degradation_pct: mean(disruptive),
+        sensitive_degradation_pct: sensitive,
+        disruptive_degradation_pct: disruptive,
         // Filled in by the sweep runner once the quiet row is known.
         sensitive_penalty_vs_quiet_pct: 0.0,
     }
@@ -366,12 +319,13 @@ pub fn run_failure_cell(
 /// runs serially; the output is byte-identical either way), then charges
 /// every faulted row its sensitive-VM penalty against the quiet row of
 /// the same policy and planner mode.
-pub fn run_with_sweep_jobs(
-    config: &ExperimentConfig,
-    sweep: &FailureSweep,
-    jobs: usize,
-) -> FailureResult {
-    let calibration = fleet::calibrate_sweep(config, &calibration_sweep(sweep));
+pub fn run(config: &ExperimentConfig, sweep: &FailureSweep, jobs: usize) -> FailureResult {
+    let calibration = fleet::calibrate(
+        config,
+        sweep.epochs,
+        sweep.epoch_ticks,
+        sweep.permit_paper_kilo,
+    );
     let mut specs: Vec<(f64, ConsolidationPolicy, bool)> = Vec::new();
     for &rate in &sweep.crash_rates {
         for &policy in &sweep.policies {
@@ -406,16 +360,6 @@ pub fn run_with_sweep_jobs(
     }
 }
 
-/// Runs the full sweep described by `sweep` on the calling thread.
-pub fn run_with_sweep(config: &ExperimentConfig, sweep: &FailureSweep) -> FailureResult {
-    run_with_sweep_jobs(config, sweep, 1)
-}
-
-/// Runs the standard failures sweep.
-pub fn run(config: &ExperimentConfig) -> FailureResult {
-    run_with_sweep(config, &FailureSweep::standard())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +377,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_point_and_faults_actually_fire() {
         let sweep = FailureSweep::small();
-        let result = run_with_sweep(&tiny_config(), &sweep);
+        let result = run(&tiny_config(), &sweep, 1);
         assert_eq!(result.rows.len(), 8, "2 rates x 2 policies x 2 modes");
         for row in &result.rows {
             if row.crash_rate == 0.0 {
@@ -466,10 +410,10 @@ mod tests {
     #[test]
     fn runs_are_deterministic_and_cell_parallelism_changes_nothing() {
         let sweep = FailureSweep::small();
-        let serial = run_with_sweep(&tiny_config(), &sweep);
-        let rerun = run_with_sweep(&tiny_config(), &sweep);
+        let serial = run(&tiny_config(), &sweep, 1);
+        let rerun = run(&tiny_config(), &sweep, 1);
         assert_eq!(serial, rerun, "same config, same bytes");
-        let parallel = run_with_sweep(&tiny_config().with_parallel_engine(true), &sweep);
+        let parallel = run(&tiny_config().with_parallel_engine(true), &sweep, 1);
         assert_eq!(serial, parallel, "cell-parallel epochs are bit-identical");
         assert_eq!(serial.to_table(), parallel.to_table());
     }
@@ -477,8 +421,8 @@ mod tests {
     #[test]
     fn sweep_worker_threads_change_no_bytes() {
         let sweep = FailureSweep::small();
-        let serial = run_with_sweep_jobs(&tiny_config(), &sweep, 1);
-        let threaded = run_with_sweep_jobs(&tiny_config(), &sweep, 4);
+        let serial = run(&tiny_config(), &sweep, 1);
+        let threaded = run(&tiny_config(), &sweep, 4);
         assert_eq!(serial, threaded);
         assert_eq!(serial.to_table(), threaded.to_table());
     }

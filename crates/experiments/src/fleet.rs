@@ -37,7 +37,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::harness::{calibrate_permits, run_jobs};
-use kyoto_cluster::cluster::{CellEpochStats, Cluster, ClusterConfig};
+use kyoto_cluster::cluster::{CellEpochStats, Cluster, ClusterConfig, FleetVmReport};
 use kyoto_cluster::events::{EventSchedule, EventScheduleConfig};
 use kyoto_cluster::planner::{ConsolidationPolicy, PlannerConfig};
 use kyoto_cluster::snapshot::CellId;
@@ -58,12 +58,6 @@ pub const FLEET_MIX: [SpecApp; 6] = [
     SpecApp::Soplex,
     SpecApp::Blockie,
 ];
-
-/// Whether `app` counts as sensitive (victim) rather than disruptive
-/// (polluter) in the report.
-pub(crate) fn is_sensitive(app: SpecApp) -> bool {
-    SpecApp::SENSITIVE_VMS.contains(&app)
-}
 
 /// The sweep a fleet run covers.
 #[derive(Debug, Clone, PartialEq)]
@@ -395,20 +389,22 @@ impl FleetResult {
 /// Derives the per-VM seed salt: VMs of the same app share a workload stream
 /// (they run on disjoint machines), which lets every app's solo baseline be
 /// measured once.
-pub(crate) fn app_salt(index: usize) -> u64 {
+fn app_salt(index: usize) -> u64 {
     0xf1ee7 + (index % FLEET_MIX.len()) as u64
 }
 
-/// Builds the cluster configuration for one sweep cell.
-fn cluster_config(
+/// Builds the cluster configuration every fleet scenario (static sweep,
+/// churn, failures, service) runs on.
+pub fn cluster_config(
     config: &ExperimentConfig,
-    sweep: &FleetSweep,
     cells: usize,
+    epoch_ticks: u64,
     policy: ConsolidationPolicy,
     polluter_threshold: f64,
+    cost_aware: bool,
 ) -> ClusterConfig {
     ClusterConfig::new(cells, config.scale)
-        .with_epoch_ticks(sweep.epoch_ticks)
+        .with_epoch_ticks(epoch_ticks)
         .with_policy(policy)
         // `--parallel-engine` flips both levels: cell-parallel cluster
         // epochs here, and the socket-parallel engine inside each cell via
@@ -422,15 +418,46 @@ fn cluster_config(
         .with_planner(
             PlannerConfig::default()
                 .with_max_moves(4)
-                .with_polluter_threshold(polluter_threshold),
+                .with_polluter_threshold(polluter_threshold)
+                .with_cost_aware(cost_aware),
         )
+}
+
+/// The `k`-th fleet VM in arrival order: app `FLEET_MIX[k % len]`, named
+/// `fvm{k}-<app>` (which `app_of_report` reads back) and booking
+/// `permit`. Seeded VMs and later arrivals share this one numbering.
+pub fn fleet_vm(config: &ExperimentConfig, k: usize, permit: f64) -> (VmConfig, Box<dyn Workload>) {
+    let app = FLEET_MIX[k % FLEET_MIX.len()];
+    (
+        VmConfig::new(format!("fvm{k}-{}", app.name())).with_llc_cap(permit),
+        Box::new(config.workload(app, app_salt(k))),
+    )
+}
+
+/// Seeds `cells * per_cell` fleet VMs in arrival order: VMs fill one cell,
+/// then the next — the placement a cloud's admission path produces, which
+/// leaves every cell with a sensitive/disruptive blend.
+pub fn seed_fleet(
+    cluster: &mut Cluster,
+    config: &ExperimentConfig,
+    cells: usize,
+    per_cell: usize,
+    permit: f64,
+) {
+    for k in 0..cells * per_cell {
+        let (vm, workload) = fleet_vm(config, k, permit);
+        cluster
+            .add_vm(CellId(k / per_cell), vm, workload)
+            .expect("seeding stays within cell capacity");
+    }
 }
 
 /// Measures each app's solo throughput (instructions per tick, same epoch
 /// count, one VM alone on one cell) — the degradation baseline.
 fn solo_baselines(
     config: &ExperimentConfig,
-    sweep: &FleetSweep,
+    epochs: u64,
+    epoch_ticks: u64,
     permit: f64,
     polluter_threshold: f64,
 ) -> Vec<(SpecApp, f64)> {
@@ -440,10 +467,11 @@ fn solo_baselines(
         .map(|(index, &app)| {
             let mut cluster = Cluster::new(cluster_config(
                 config,
-                sweep,
                 1,
+                epoch_ticks,
                 ConsolidationPolicy::LoadBalance,
                 polluter_threshold,
+                false,
             ));
             let vm = cluster
                 .add_vm(
@@ -452,9 +480,7 @@ fn solo_baselines(
                     Box::new(config.workload(app, app_salt(index))),
                 )
                 .expect("cell 0 admits the solo VM");
-            cluster
-                .run_epochs(sweep.epochs)
-                .expect("solo run is fault-free");
+            cluster.run_epochs(epochs).expect("solo run is fault-free");
             let report = cluster.report(vm).expect("solo VM exists");
             (app, report.instructions_per_tick())
         })
@@ -474,11 +500,68 @@ pub struct SweepCalibration {
     pub baselines: Vec<(SpecApp, f64)>,
 }
 
+impl SweepCalibration {
+    /// Mean degradation (percent vs solo) of the sensitive and of the
+    /// disruptive fleet VMs among `reports`, each VM's app read back from
+    /// its name.
+    pub fn degradation(&self, reports: &[FleetVmReport]) -> (f64, f64) {
+        let mut sensitive = (0usize, 0.0f64);
+        let mut disruptive = (0usize, 0.0f64);
+        for report in reports {
+            let app = app_of_report(&report.name);
+            let solo = self
+                .baselines
+                .iter()
+                .find(|(a, _)| *a == app)
+                .map(|(_, t)| *t)
+                .expect("baseline for every app in the mix");
+            let degradation = degradation_percent(solo, report.instructions_per_tick());
+            let side = if SpecApp::SENSITIVE_VMS.contains(&app) {
+                &mut sensitive
+            } else {
+                &mut disruptive
+            };
+            side.0 += 1;
+            side.1 += degradation;
+        }
+        let mean = |(count, sum): (usize, f64)| if count == 0 { 0.0 } else { sum / count as f64 };
+        (mean(sensitive), mean(disruptive))
+    }
+}
+
+/// Calibrates a sweep run of `epochs` epochs of `epoch_ticks` ticks:
+/// converts the paper permit to simulated units and measures the per-app
+/// solo baselines.
+pub fn calibrate(
+    config: &ExperimentConfig,
+    epochs: u64,
+    epoch_ticks: u64,
+    permit_paper_kilo: f64,
+) -> SweepCalibration {
+    let permit = calibrate_permits(config).paper_kilo(permit_paper_kilo);
+    // A VM polluting beyond its booked permit counts as a polluter even
+    // before the scheduler catches it punishing.
+    let polluter_threshold = permit;
+    SweepCalibration {
+        permit,
+        polluter_threshold,
+        baselines: solo_baselines(config, epochs, epoch_ticks, permit, polluter_threshold),
+    }
+}
+
+/// The app behind a fleet VM, recovered from its configured name (every
+/// fleet VM is named `...-<app>`). Lets the degradation fold map live,
+/// departed and rejected VM reports back onto their solo baselines.
+fn app_of_report(name: &str) -> SpecApp {
+    *FLEET_MIX
+        .iter()
+        .find(|app| name.ends_with(&format!("-{}", app.name())))
+        .expect("fleet VM names carry their app")
+}
+
 /// Runs one sweep cell: seed `cells * vms_per_cell` VMs across the fleet in
-/// arrival order (VMs fill one cell, then the next — the placement a cloud's
-/// admission path produces, which leaves every cell with a
-/// sensitive/disruptive blend), run the control loop, and fold the outcome
-/// into a [`FleetCell`].
+/// arrival order, run the control loop, and fold the outcome into a
+/// [`FleetCell`].
 pub fn run_cell(
     config: &ExperimentConfig,
     sweep: &FleetSweep,
@@ -487,92 +570,43 @@ pub fn run_cell(
     policy: ConsolidationPolicy,
     calibration: &SweepCalibration,
 ) -> FleetCell {
-    let vm_count = cells * vms_per_cell;
     let mut cluster = Cluster::new(cluster_config(
         config,
-        sweep,
         cells,
+        sweep.epoch_ticks,
         policy,
         calibration.polluter_threshold,
+        false,
     ));
-    let mut apps = Vec::with_capacity(vm_count);
-    for i in 0..vm_count {
-        let app = FLEET_MIX[i % FLEET_MIX.len()];
-        apps.push(app);
-        cluster
-            .add_vm(
-                CellId((i / vms_per_cell).min(cells - 1)),
-                VmConfig::new(format!("fvm{i}-{}", app.name())).with_llc_cap(calibration.permit),
-                Box::new(config.workload(app, app_salt(i))),
-            )
-            .expect("seeding stays within cell capacity");
-    }
+    seed_fleet(
+        &mut cluster,
+        config,
+        cells,
+        vms_per_cell,
+        calibration.permit,
+    );
     cluster
         .run_epochs(sweep.epochs)
         .expect("sweep run is fault-free");
 
     let downtime_per_move = cluster.config().planner.cost.downtime_ticks;
-    let reports = cluster.reports();
-    let mut sensitive = (0usize, 0.0f64);
-    let mut disruptive = (0usize, 0.0f64);
-    let mut punishments = 0u64;
-    for (report, &app) in reports.iter().zip(&apps) {
-        punishments += report.punishments;
-        let solo = calibration
-            .baselines
-            .iter()
-            .find(|(a, _)| *a == app)
-            .map(|(_, t)| *t)
-            .expect("baseline for every app in the mix");
-        let degradation = degradation_percent(solo, report.instructions_per_tick());
-        if is_sensitive(app) {
-            sensitive.0 += 1;
-            sensitive.1 += degradation;
-        } else {
-            disruptive.0 += 1;
-            disruptive.1 += degradation;
-        }
-    }
-    let mean = |(count, sum): (usize, f64)| if count == 0 { 0.0 } else { sum / count as f64 };
+    let reports = cluster.all_reports();
+    let (sensitive, disruptive) = calibration.degradation(&reports);
     FleetCell {
         cells,
-        vms: vm_count,
+        vms: cells * vms_per_cell,
         policy,
         migrations: cluster.total_migrations(),
         downtime_ticks: cluster.total_migrations() * downtime_per_move,
-        sensitive_degradation_pct: mean(sensitive),
-        disruptive_degradation_pct: mean(disruptive),
-        punishments,
+        sensitive_degradation_pct: sensitive,
+        disruptive_degradation_pct: disruptive,
+        punishments: reports.iter().map(|report| report.punishments).sum(),
         final_epoch: cluster
             .history()
             .last()
             .map(|epoch| epoch.cells.clone())
             .unwrap_or_default(),
     }
-}
-
-/// Calibrates a sweep run: converts the paper permit to simulated units and
-/// measures the per-app solo baselines.
-pub fn calibrate_sweep(config: &ExperimentConfig, sweep: &FleetSweep) -> SweepCalibration {
-    let permit = calibrate_permits(config).paper_kilo(sweep.permit_paper_kilo);
-    // A VM polluting beyond its booked permit counts as a polluter even
-    // before the scheduler catches it punishing.
-    let polluter_threshold = permit;
-    SweepCalibration {
-        permit,
-        polluter_threshold,
-        baselines: solo_baselines(config, sweep, permit, polluter_threshold),
-    }
-}
-
-/// The app behind a fleet VM, recovered from its configured name (every
-/// fleet VM is named `...-<app>`). Lets churn runs fold live *and departed*
-/// VM reports back onto their solo baselines.
-pub(crate) fn app_of_report(name: &str) -> SpecApp {
-    *FLEET_MIX
-        .iter()
-        .find(|app| name.ends_with(&format!("-{}", app.name())))
-        .expect("fleet VM names carry their app")
 }
 
 /// Runs one churn sweep point: seed the fleet in arrival order, drive
@@ -587,30 +621,23 @@ pub fn run_churn_cell(
     cost_aware: bool,
     calibration: &SweepCalibration,
 ) -> ChurnCell {
-    let cluster_config = ClusterConfig::new(churn.cells, config.scale)
-        .with_epoch_ticks(churn.epoch_ticks)
-        .with_policy(policy)
-        .with_parallel_cells(config.parallel_engine)
-        .with_hypervisor(config.hypervisor_config())
-        .with_strategy(MonitoringStrategy::SimulatorAttribution)
-        .with_planner(
-            PlannerConfig::default()
-                .with_max_moves(4)
-                .with_polluter_threshold(calibration.polluter_threshold)
-                .with_cost_aware(cost_aware),
-        );
-    let mut cluster = Cluster::new(cluster_config);
+    let mut cluster = Cluster::new(cluster_config(
+        config,
+        churn.cells,
+        churn.epoch_ticks,
+        policy,
+        calibration.polluter_threshold,
+        cost_aware,
+    ));
+    let permit = calibration.permit;
+    seed_fleet(
+        &mut cluster,
+        config,
+        churn.cells,
+        churn.initial_vms_per_cell,
+        permit,
+    );
     let initial = churn.cells * churn.initial_vms_per_cell;
-    for i in 0..initial {
-        let app = FLEET_MIX[i % FLEET_MIX.len()];
-        cluster
-            .add_vm(
-                CellId(i / churn.initial_vms_per_cell),
-                VmConfig::new(format!("fvm{i}-{}", app.name())).with_llc_cap(calibration.permit),
-                Box::new(config.workload(app, app_salt(i))),
-            )
-            .expect("seeding stays within cell capacity");
-    }
     let drained = CellId(churn.cells - 1);
     let schedule = EventSchedule::new(
         EventScheduleConfig::new(churn.seed)
@@ -619,42 +646,15 @@ pub fn run_churn_cell(
             .with_drain(churn.drain_epoch, drained)
             .with_join(churn.join_epoch, drained),
     );
-    let permit = calibration.permit;
-    let mut spawn = |index: u64| -> (VmConfig, Box<dyn Workload>) {
-        let k = initial + index as usize;
-        let app = FLEET_MIX[k % FLEET_MIX.len()];
-        (
-            VmConfig::new(format!("fvm{k}-{}", app.name())).with_llc_cap(permit),
-            Box::new(config.workload(app, app_salt(k))),
-        )
-    };
     cluster
-        .run_epochs_with_schedule(&schedule, churn.epochs, &mut spawn)
+        .run_epochs_with_schedule(&schedule, churn.epochs, &mut |i| {
+            fleet_vm(config, initial + i as usize, permit)
+        })
         .expect("churn run is fault-free");
 
     let downtime_per_move = cluster.config().planner.cost.downtime_ticks;
-    let mut sensitive = (0usize, 0.0f64);
-    let mut disruptive = (0usize, 0.0f64);
-    let mut punishments = 0u64;
-    for report in cluster.all_reports() {
-        punishments += report.punishments;
-        let app = app_of_report(&report.name);
-        let solo = calibration
-            .baselines
-            .iter()
-            .find(|(a, _)| *a == app)
-            .map(|(_, t)| *t)
-            .expect("baseline for every app in the mix");
-        let degradation = degradation_percent(solo, report.instructions_per_tick());
-        if is_sensitive(app) {
-            sensitive.0 += 1;
-            sensitive.1 += degradation;
-        } else {
-            disruptive.0 += 1;
-            disruptive.1 += degradation;
-        }
-    }
-    let mean = |(count, sum): (usize, f64)| if count == 0 { 0.0 } else { sum / count as f64 };
+    let reports = cluster.all_reports();
+    let (sensitive, disruptive) = calibration.degradation(&reports);
     ChurnCell {
         arrival_rate,
         policy,
@@ -665,9 +665,9 @@ pub fn run_churn_cell(
         departures: cluster.total_departures(),
         rejected_arrivals: cluster.rejected_arrivals(),
         final_vms: cluster.reports().len(),
-        sensitive_degradation_pct: mean(sensitive),
-        disruptive_degradation_pct: mean(disruptive),
-        punishments,
+        sensitive_degradation_pct: sensitive,
+        disruptive_degradation_pct: disruptive,
+        punishments: reports.iter().map(|report| report.punishments).sum(),
     }
 }
 
@@ -706,12 +706,13 @@ fn run_churn_sweep(
 /// cells plus the churn sweep when one is configured — with the
 /// independent sweep cells spread over up to `jobs` scoped worker threads
 /// (`jobs <= 1` runs serially; the output is byte-identical either way).
-pub fn run_with_sweep_jobs(
-    config: &ExperimentConfig,
-    sweep: &FleetSweep,
-    jobs: usize,
-) -> FleetResult {
-    let calibration = calibrate_sweep(config, sweep);
+pub fn run(config: &ExperimentConfig, sweep: &FleetSweep, jobs: usize) -> FleetResult {
+    let calibration = calibrate(
+        config,
+        sweep.epochs,
+        sweep.epoch_ticks,
+        sweep.permit_paper_kilo,
+    );
     let mut specs: Vec<(usize, usize, ConsolidationPolicy)> = Vec::new();
     for &cell_count in &sweep.cell_counts {
         for &vms_per_cell in &sweep.vms_per_cell {
@@ -742,21 +743,22 @@ pub fn run_with_sweep_jobs(
     }
 }
 
-/// Runs the full sweep described by `sweep` on the calling thread.
-pub fn run_with_sweep(config: &ExperimentConfig, sweep: &FleetSweep) -> FleetResult {
-    run_with_sweep_jobs(config, sweep, 1)
-}
-
 /// Runs only the churn half of `sweep` (the `figures --scenario churn`
 /// target), with its points spread over up to `jobs` worker threads.
-/// Returns `None` when the sweep carries no churn component.
-pub fn run_churn_with_jobs(
+/// Returns `None` when the sweep carries no churn component. Calibrates at
+/// the static sweep's geometry, exactly as [`run`] does for its churn half.
+pub fn run_churn(
     config: &ExperimentConfig,
     sweep: &FleetSweep,
     jobs: usize,
 ) -> Option<ChurnResult> {
     let churn = sweep.churn.as_ref()?;
-    let calibration = calibrate_sweep(config, sweep);
+    let calibration = calibrate(
+        config,
+        sweep.epochs,
+        sweep.epoch_ticks,
+        sweep.permit_paper_kilo,
+    );
     Some(run_churn_sweep(
         config,
         churn,
@@ -764,11 +766,6 @@ pub fn run_churn_with_jobs(
         &calibration,
         jobs,
     ))
-}
-
-/// Runs the standard fleet sweep.
-pub fn run(config: &ExperimentConfig) -> FleetResult {
-    run_with_sweep(config, &FleetSweep::standard())
 }
 
 #[cfg(test)]
@@ -791,12 +788,17 @@ mod tests {
             churn: None,
             ..FleetSweep::small()
         };
-        let result = run_with_sweep(&tiny_config(), &sweep);
+        let result = run(&tiny_config(), &sweep, 1);
         assert_eq!(result.cells.len(), 8, "2 fleet sizes x 4 policies");
         for policy in ConsolidationPolicy::ALL {
             let cell = result.cell(4, 8, policy).expect("4-cell sweep cell");
             assert_eq!(cell.final_epoch.len(), 4);
             assert!(cell.final_epoch_instructions() > 0);
+        }
+        // Every fold reads a VM's app back from the name `fleet_vm` gave it.
+        for k in 0..2 * FLEET_MIX.len() {
+            let (vm, _) = fleet_vm(&tiny_config(), k, 1.0);
+            assert_eq!(app_of_report(&vm.name), FLEET_MIX[k % FLEET_MIX.len()]);
         }
         let table = result.to_table();
         assert!(table.contains("pollution-aware"));
@@ -815,7 +817,7 @@ mod tests {
             churn: None,
             ..FleetSweep::small()
         };
-        let result = run_with_sweep(&tiny_config(), &sweep);
+        let result = run(&tiny_config(), &sweep, 1);
         let balanced = result
             .cell(4, 8, ConsolidationPolicy::LoadBalance)
             .expect("load-balance cell");
@@ -837,10 +839,10 @@ mod tests {
     #[test]
     fn runs_are_deterministic_and_cell_parallelism_changes_nothing() {
         let sweep = FleetSweep::small();
-        let serial = run_with_sweep(&tiny_config(), &sweep);
-        let rerun = run_with_sweep(&tiny_config(), &sweep);
+        let serial = run(&tiny_config(), &sweep, 1);
+        let rerun = run(&tiny_config(), &sweep, 1);
         assert_eq!(serial, rerun, "same config, same bytes");
-        let parallel = run_with_sweep(&tiny_config().with_parallel_engine(true), &sweep);
+        let parallel = run(&tiny_config().with_parallel_engine(true), &sweep, 1);
         assert_eq!(serial, parallel, "cell-parallel epochs are bit-identical");
         assert_eq!(serial.to_table(), parallel.to_table());
         assert!(serial.churn.is_some(), "small sweep carries the churn half");
@@ -849,8 +851,8 @@ mod tests {
     #[test]
     fn sweep_worker_threads_change_no_bytes() {
         let sweep = FleetSweep::small();
-        let serial = run_with_sweep_jobs(&tiny_config(), &sweep, 1);
-        let threaded = run_with_sweep_jobs(&tiny_config(), &sweep, 4);
+        let serial = run(&tiny_config(), &sweep, 1);
+        let threaded = run(&tiny_config(), &sweep, 4);
         assert_eq!(serial, threaded);
         assert_eq!(serial.to_table(), threaded.to_table());
     }
@@ -858,7 +860,7 @@ mod tests {
     #[test]
     fn churn_sweep_covers_every_point_and_reports_dynamics() {
         let sweep = FleetSweep::small();
-        let churn = run_churn_with_jobs(&tiny_config(), &sweep, 1).expect("churn configured");
+        let churn = run_churn(&tiny_config(), &sweep, 1).expect("churn configured");
         assert_eq!(churn.rows.len(), 6, "1 rate x 3 policies x 2 modes");
         let table = churn.to_table();
         assert!(table.contains("Fleet churn"));
@@ -879,7 +881,7 @@ mod tests {
         // show the cost-aware planner beating the fixed-budget planner on
         // total downtime at equal-or-better sensitive degradation.
         let sweep = FleetSweep::small();
-        let churn = run_churn_with_jobs(&tiny_config(), &sweep, 1).expect("churn configured");
+        let churn = run_churn(&tiny_config(), &sweep, 1).expect("churn configured");
         let churn_sweep = sweep.churn.as_ref().unwrap();
         let mut witnessed = false;
         for &rate in &churn_sweep.arrival_rates {
@@ -915,7 +917,12 @@ mod tests {
             ..FleetSweep::small()
         };
         let config = tiny_config();
-        let calibration = calibrate_sweep(&config, &sweep);
+        let calibration = calibrate(
+            &config,
+            sweep.epochs,
+            sweep.epoch_ticks,
+            sweep.permit_paper_kilo,
+        );
         let balanced = run_cell(
             &config,
             &sweep,

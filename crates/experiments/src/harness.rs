@@ -228,8 +228,8 @@ pub fn spec_workload(config: &ExperimentConfig, app: SpecApp, salt: u64) -> Box<
 /// threads, preserving input order (`jobs <= 1` runs on the calling
 /// thread). Every cell must derive all its seeds from shared, immutable
 /// inputs, so the assembled result is byte-identical whatever the
-/// parallelism — the work-stealing shape behind the cloudscale and fleet
-/// sweeps (and `figures --jobs` one level up).
+/// parallelism — the work-stealing shape behind the cloudscale, fleet,
+/// failures and service sweeps (and `figures --jobs` one level up).
 pub fn run_jobs<T: Send>(count: usize, jobs: usize, run_one: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = jobs.clamp(1, count.max(1));
     if workers <= 1 {

@@ -67,7 +67,7 @@ pub mod service;
 pub mod tables;
 pub mod trace;
 
-pub use config::{ExperimentConfig, Fidelity};
+pub use config::ExperimentConfig;
 pub use harness::{
     calibrate_permits, warmup_and_measure, ExecutionMode, Measurement, PermitCalibration,
 };

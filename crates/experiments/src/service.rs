@@ -29,17 +29,14 @@
 //! across `--jobs` fan-out, which `ci/check_determinism.sh` verifies.
 
 use crate::config::ExperimentConfig;
-use crate::fleet::{app_salt, FLEET_MIX};
+use crate::fleet;
 use crate::harness::{calibrate_permits, run_jobs};
-use kyoto_cluster::cluster::{Cluster, ClusterConfig};
-use kyoto_cluster::planner::{ConsolidationPolicy, PlannerConfig};
+use kyoto_cluster::cluster::Cluster;
+use kyoto_cluster::planner::ConsolidationPolicy;
 use kyoto_cluster::snapshot::CellId;
-use kyoto_core::monitor::MonitoringStrategy;
-use kyoto_hypervisor::vm::VmConfig;
 use kyoto_service::admission::{AdmissionConfig, AdmissionPolicy};
 use kyoto_service::request::{RequestTrace, RequestTraceConfig, ServiceRequest};
 use kyoto_service::service::{FleetService, ServiceConfig};
-use kyoto_sim::workload::Workload;
 
 /// An admission policy in calibration-relative units: the contention
 /// limit is expressed as a multiple of the booked permit, and resolved to
@@ -290,34 +287,6 @@ impl ServiceResult {
     }
 }
 
-/// Builds the cluster one sweep point wraps.
-fn build_cluster(config: &ExperimentConfig, sweep: &ServiceSweep, permit: f64) -> Cluster {
-    let cluster_config = ClusterConfig::new(sweep.cells, config.scale)
-        .with_epoch_ticks(sweep.epoch_ticks)
-        .with_policy(ConsolidationPolicy::PollutionAware)
-        .with_parallel_cells(config.parallel_engine)
-        .with_hypervisor(config.hypervisor_config())
-        .with_strategy(MonitoringStrategy::SimulatorAttribution)
-        .with_planner(
-            PlannerConfig::default()
-                .with_max_moves(4)
-                .with_polluter_threshold(permit),
-        );
-    let mut cluster = Cluster::new(cluster_config);
-    let initial = sweep.cells * sweep.initial_vms_per_cell;
-    for i in 0..initial {
-        let app = FLEET_MIX[i % FLEET_MIX.len()];
-        cluster
-            .add_vm(
-                CellId(i / sweep.initial_vms_per_cell),
-                VmConfig::new(format!("fvm{i}-{}", app.name())).with_llc_cap(permit),
-                Box::new(config.workload(app, app_salt(i))),
-            )
-            .expect("seeding stays within cell capacity");
-    }
-    cluster
-}
-
 /// Builds the service for one sweep point.
 fn build_service(
     config: &ExperimentConfig,
@@ -326,8 +295,23 @@ fn build_service(
     policy: PolicySpec,
     permit: f64,
 ) -> FleetService {
+    let mut cluster = Cluster::new(fleet::cluster_config(
+        config,
+        sweep.cells,
+        sweep.epoch_ticks,
+        ConsolidationPolicy::PollutionAware,
+        permit,
+        false,
+    ));
+    fleet::seed_fleet(
+        &mut cluster,
+        config,
+        sweep.cells,
+        sweep.initial_vms_per_cell,
+        permit,
+    );
     FleetService::new(
-        build_cluster(config, sweep, permit),
+        cluster,
         sweep.trace(place_rate),
         ServiceConfig {
             admission: AdmissionConfig {
@@ -337,23 +321,6 @@ fn build_service(
             checkpoint_every: None,
         },
     )
-}
-
-/// The spawn function every replay shares: trace arrivals continue the
-/// seeded mix, keyed purely by arrival index.
-fn spawn_fn(
-    config: &ExperimentConfig,
-    initial: usize,
-    permit: f64,
-) -> impl FnMut(u64) -> (VmConfig, Box<dyn Workload>) + '_ {
-    move |index: u64| {
-        let k = initial + index as usize;
-        let app = FLEET_MIX[k % FLEET_MIX.len()];
-        (
-            VmConfig::new(format!("fvm{k}-{}", app.name())).with_llc_cap(permit),
-            Box::new(config.workload(app, app_salt(k))) as Box<dyn Workload>,
-        )
-    }
 }
 
 /// Runs one sweep point: replay the trace to its end and fold the ledger
@@ -367,7 +334,8 @@ pub fn run_point(
 ) -> ServicePoint {
     let initial = sweep.cells * sweep.initial_vms_per_cell;
     let mut service = build_service(config, sweep, place_rate, policy, permit);
-    let mut spawn = spawn_fn(config, initial, permit);
+    // Trace arrivals continue the seeded mix, keyed purely by arrival index.
+    let mut spawn = |i: u64| fleet::fleet_vm(config, initial + i as usize, permit);
     service
         .run_to_end(&mut spawn)
         .expect("service replay is fault-free");
@@ -435,7 +403,7 @@ pub fn run_restart_check(
 ) -> String {
     let initial = sweep.cells * sweep.initial_vms_per_cell;
     let mut original = build_service(config, sweep, place_rate, policy, permit);
-    let mut spawn = spawn_fn(config, initial, permit);
+    let mut spawn = |i: u64| fleet::fleet_vm(config, initial + i as usize, permit);
     while original.epoch() < sweep.restart_epoch.min(sweep.epochs) {
         original
             .run_epoch(&mut spawn)
@@ -446,7 +414,6 @@ pub fn run_restart_check(
         .run_to_end(&mut spawn)
         .expect("service replay is fault-free");
     let mut restored = FleetService::restore(checkpoint);
-    let mut spawn = spawn_fn(config, initial, permit);
     restored
         .run_to_end(&mut spawn)
         .expect("restored replay is fault-free");
@@ -462,11 +429,7 @@ pub fn run_restart_check(
 /// Runs the full sweep described by `sweep`, with the independent sweep
 /// points spread over up to `jobs` scoped worker threads (`jobs <= 1`
 /// runs serially; the output is byte-identical either way).
-pub fn run_with_sweep_jobs(
-    config: &ExperimentConfig,
-    sweep: &ServiceSweep,
-    jobs: usize,
-) -> ServiceResult {
+pub fn run(config: &ExperimentConfig, sweep: &ServiceSweep, jobs: usize) -> ServiceResult {
     let permit = calibrate_permits(config).paper_kilo(sweep.permit_paper_kilo);
     let mut specs: Vec<(f64, PolicySpec)> = Vec::new();
     for &rate in &sweep.place_rates {
@@ -478,8 +441,11 @@ pub fn run_with_sweep_jobs(
         let (rate, policy) = specs[index];
         run_point(config, sweep, rate, policy, permit)
     });
-    let (first_rate, first_policy) = specs[0];
-    let first_point_telemetry = run_restart_check(config, sweep, first_rate, first_policy, permit);
+    // A sweep with no points has no first point to restart-check.
+    let first_point_telemetry = specs
+        .first()
+        .map(|&(rate, policy)| run_restart_check(config, sweep, rate, policy, permit))
+        .unwrap_or_default();
     ServiceResult {
         cells: sweep.cells,
         initial_vms: sweep.cells * sweep.initial_vms_per_cell,
@@ -490,16 +456,6 @@ pub fn run_with_sweep_jobs(
         rows,
         first_point_telemetry,
     }
-}
-
-/// Runs the full sweep on the calling thread.
-pub fn run_with_sweep(config: &ExperimentConfig, sweep: &ServiceSweep) -> ServiceResult {
-    run_with_sweep_jobs(config, sweep, 1)
-}
-
-/// Runs the standard service sweep.
-pub fn run(config: &ExperimentConfig) -> ServiceResult {
-    run_with_sweep(config, &ServiceSweep::standard())
 }
 
 #[cfg(test)]
@@ -518,7 +474,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_point_and_renders() {
-        let result = run_with_sweep(&tiny_config(), &ServiceSweep::small());
+        let result = run(&tiny_config(), &ServiceSweep::small(), 1);
         assert_eq!(result.rows.len(), 4, "2 rates x 2 policies");
         let table = result.to_table();
         assert!(table.contains("free-cores"));
@@ -535,12 +491,29 @@ mod tests {
                 "conservation in the rendered row: {row:?}"
             );
         }
+        // A sweep without rates or without policies has no points: it
+        // renders the header alone instead of panicking.
+        for empty in [
+            ServiceSweep {
+                place_rates: Vec::new(),
+                ..ServiceSweep::small()
+            },
+            ServiceSweep {
+                policies: Vec::new(),
+                ..ServiceSweep::small()
+            },
+        ] {
+            let result = run(&tiny_config(), &empty, 1);
+            assert!(result.rows.is_empty());
+            assert!(result.first_point_telemetry.is_empty());
+            assert!(result.to_table().starts_with("Service:"));
+        }
     }
 
     #[test]
     fn contention_gate_bites_at_high_arrival_rates() {
         let sweep = ServiceSweep::small();
-        let result = run_with_sweep(&tiny_config(), &sweep);
+        let result = run(&tiny_config(), &sweep, 1);
         let top_rate = sweep.place_rates[sweep.place_rates.len() - 1];
         let gated = result
             .row(
@@ -573,12 +546,12 @@ mod tests {
     #[test]
     fn runs_are_deterministic_and_parallelism_changes_nothing() {
         let sweep = ServiceSweep::small();
-        let serial = run_with_sweep(&tiny_config(), &sweep);
-        let rerun = run_with_sweep(&tiny_config(), &sweep);
+        let serial = run(&tiny_config(), &sweep, 1);
+        let rerun = run(&tiny_config(), &sweep, 1);
         assert_eq!(serial, rerun, "same config, same bytes");
-        let parallel = run_with_sweep(&tiny_config().with_parallel_engine(true), &sweep);
+        let parallel = run(&tiny_config().with_parallel_engine(true), &sweep, 1);
         assert_eq!(serial, parallel, "cell-parallel epochs are bit-identical");
-        let threaded = run_with_sweep_jobs(&tiny_config(), &sweep, 4);
+        let threaded = run(&tiny_config(), &sweep, 4);
         assert_eq!(serial, threaded, "sweep worker threads change no bytes");
         assert_eq!(serial.to_table(), parallel.to_table());
     }

@@ -151,10 +151,13 @@ fn cluster_no_panic_flags_panicking_constructs() {
 #[test]
 fn cluster_no_panic_spares_tests_allows_and_other_crates() {
     let diags = lint_source("crates/cluster/src/fixture.rs", CLUSTER_PANIC);
-    let lines = lines_for(&diags, "cluster-no-panic");
-    assert!(!lines.contains(&line_of(CLUSTER_PANIC, "MARK: allowed-expect")));
-    assert!(!lines.contains(&line_of(CLUSTER_PANIC, "MARK: test-unwrap")));
-    // The rule is cluster-only: the same code lints clean under sim.
+    let flagged_lines = lines_for(&diags, "cluster-no-panic");
+    assert!(!flagged_lines.contains(&line_of(CLUSTER_PANIC, "MARK: allowed-expect")));
+    assert!(!flagged_lines.contains(&line_of(CLUSTER_PANIC, "MARK: test-unwrap")));
+    // The rule covers the fleet crates only: the same code is flagged
+    // under service but lints clean under sim.
+    let diags = lint_source("crates/service/src/fixture.rs", CLUSTER_PANIC);
+    assert_eq!(lines_for(&diags, "cluster-no-panic"), flagged_lines);
     let diags = lint_source("crates/sim/src/fixture.rs", CLUSTER_PANIC);
     assert_eq!(lines_for(&diags, "cluster-no-panic"), Vec::<usize>::new());
 }

@@ -378,16 +378,23 @@ impl FleetService {
             );
         }
 
-        // Run the epoch, then publish.
+        // Run the epoch, then publish. A due auto-checkpoint is cut just
+        // before publishing, so the published record can be handed back,
+        // and gets that record appended: it matches a cut taken after.
         self.cluster.run_epoch()?;
         let record = self.build_record();
-        self.telemetry.publish(record);
-        if let Some(every) = self.config.checkpoint_every {
-            if every > 0 && self.cluster.epoch().is_multiple_of(every) {
-                self.auto_checkpoint = Some(Box::new(self.checkpoint()?));
-            }
+        let checkpoint = self
+            .config
+            .checkpoint_every
+            .is_some_and(|every| every > 0 && self.cluster.epoch().is_multiple_of(every))
+            .then(|| self.checkpoint());
+        let published = self.telemetry.publish(record);
+        if let Some(checkpoint) = checkpoint {
+            let mut checkpoint = checkpoint?;
+            checkpoint.records.push(published.clone());
+            self.auto_checkpoint = Some(Box::new(checkpoint));
         }
-        Ok(self.telemetry.latest().expect("just published"))
+        Ok(published)
     }
 
     /// Replays the trace to its end.

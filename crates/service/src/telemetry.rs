@@ -245,9 +245,11 @@ impl TelemetryLog {
         TelemetryLog { records }
     }
 
-    /// Publishes one record.
-    pub fn publish(&mut self, record: TelemetryRecord) {
+    /// Publishes one record and returns it as stored.
+    pub fn publish(&mut self, record: TelemetryRecord) -> &TelemetryRecord {
+        let index = self.records.len();
         self.records.push(record);
+        &self.records[index]
     }
 
     /// Every record published so far, oldest first.

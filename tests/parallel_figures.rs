@@ -46,9 +46,8 @@ fn fig1_output_is_byte_identical_with_the_parallel_engine() {
 #[test]
 fn cloudscale_output_is_byte_identical_with_the_parallel_engine() {
     let sweep = CloudscaleSweep::small();
-    let serial = cloudscale::run_with_sweep(&test_config(), &sweep).to_table();
-    let parallel =
-        cloudscale::run_with_sweep(&test_config().with_parallel_engine(true), &sweep).to_table();
+    let serial = cloudscale::run(&test_config(), &sweep, 1).to_table();
+    let parallel = cloudscale::run(&test_config().with_parallel_engine(true), &sweep, 1).to_table();
     assert_eq!(serial, parallel);
 }
 
@@ -57,8 +56,8 @@ fn cloudscale_output_is_byte_identical_with_the_parallel_engine() {
 #[test]
 fn cloudscale_output_is_byte_identical_across_sweep_jobs() {
     let sweep = CloudscaleSweep::small();
-    let serial = cloudscale::run_with_sweep_jobs(&test_config(), &sweep, 1).to_table();
-    let threaded = cloudscale::run_with_sweep_jobs(&test_config(), &sweep, 8).to_table();
+    let serial = cloudscale::run(&test_config(), &sweep, 1).to_table();
+    let threaded = cloudscale::run(&test_config(), &sweep, 8).to_table();
     assert_eq!(serial, threaded);
 }
 
@@ -70,9 +69,8 @@ fn cloudscale_output_is_byte_identical_across_sweep_jobs() {
 #[test]
 fn fleet_output_is_byte_identical_with_parallel_cells() {
     let sweep = FleetSweep::small();
-    let serial = fleet::run_with_sweep(&test_config(), &sweep).to_table();
-    let parallel =
-        fleet::run_with_sweep(&test_config().with_parallel_engine(true), &sweep).to_table();
+    let serial = fleet::run(&test_config(), &sweep, 1).to_table();
+    let parallel = fleet::run(&test_config().with_parallel_engine(true), &sweep, 1).to_table();
     assert_eq!(serial, parallel);
     assert!(
         serial.contains("Fleet churn"),
@@ -86,8 +84,8 @@ fn fleet_output_is_byte_identical_with_parallel_cells() {
 #[test]
 fn fleet_output_is_byte_identical_across_sweep_jobs() {
     let sweep = FleetSweep::small();
-    let serial = fleet::run_with_sweep_jobs(&test_config(), &sweep, 1).to_table();
-    let threaded = fleet::run_with_sweep_jobs(&test_config(), &sweep, 8).to_table();
+    let serial = fleet::run(&test_config(), &sweep, 1).to_table();
+    let threaded = fleet::run(&test_config(), &sweep, 8).to_table();
     assert_eq!(serial, threaded);
 }
 
@@ -96,13 +94,13 @@ fn fleet_output_is_byte_identical_across_sweep_jobs() {
 #[test]
 fn churn_output_is_byte_identical_with_parallel_cells_and_jobs() {
     let sweep = FleetSweep::small();
-    let serial = fleet::run_churn_with_jobs(&test_config(), &sweep, 1)
+    let serial = fleet::run_churn(&test_config(), &sweep, 1)
         .expect("small sweep has churn")
         .to_table();
-    let parallel = fleet::run_churn_with_jobs(&test_config().with_parallel_engine(true), &sweep, 1)
+    let parallel = fleet::run_churn(&test_config().with_parallel_engine(true), &sweep, 1)
         .expect("small sweep has churn")
         .to_table();
-    let threaded = fleet::run_churn_with_jobs(&test_config(), &sweep, 8)
+    let threaded = fleet::run_churn(&test_config(), &sweep, 8)
         .expect("small sweep has churn")
         .to_table();
     assert_eq!(serial, parallel);
