@@ -31,10 +31,12 @@
 # json.tool` re-checks externally when python3 is on PATH).
 #
 # Comparing runs of one binary against each other cannot catch a change that
-# moves every run the same way, so the serial run is also diffed against the
-# committed golden report `ci/golden/quick.txt`. It pins `--jobs 2` because
-# the header line prints the job count. A change that alters figure output
-# on purpose regenerates the golden (command below) and justifies the diff.
+# moves every run the same way, so the serial runs are also diffed against
+# committed goldens: the figure report against `ci/golden/quick.txt` (it
+# pins `--jobs 2` because the header line prints the job count) and the
+# serial trace file against `ci/golden/trace-quick.txt`. A change that alters
+# figure or trace output on purpose regenerates the golden (each failure
+# prints its command) and justifies the diff.
 #
 # `--no-timing` suppresses the wall-clock lines, so the whole report is
 # byte-comparable. Outputs land in $DETERMINISM_OUT (default:
@@ -49,6 +51,7 @@ set -euo pipefail
 bin="${FIGURES_BIN:-target/release/figures}"
 out="${DETERMINISM_OUT:-target/determinism}"
 golden="ci/golden/quick.txt"
+trace_golden="ci/golden/trace-quick.txt"
 targets=(fig1 fig9 cloudscale fleet churn failures service interactive)
 
 if [ ! -x "$bin" ]; then
@@ -83,6 +86,12 @@ echo "Trace determinism gate over: ${trace_targets[*]} (quick fidelity)"
 "$bin" --quick --no-timing --parallel-engine "${trace_targets[@]}" --trace-out "$out/trace-parallel-engine.txt" > /dev/null
 "$bin" --quick --no-timing "${trace_targets[@]}" --trace-out "$out/trace-serial-rerun.txt" > /dev/null
 
+if ! diff -u "$trace_golden" "$out/trace-serial.txt"; then
+    echo "determinism gate FAILED: trace bytes differ from $trace_golden" >&2
+    echo "if the change is intended, regenerate the golden and justify the diff:" >&2
+    echo "  $bin --quick --no-timing ${trace_targets[*]} --trace-out $trace_golden" >&2
+    exit 1
+fi
 if ! diff -u "$out/trace-serial.txt" "$out/trace-parallel-engine.txt"; then
     echo "determinism gate FAILED: --parallel-engine changed trace bytes" >&2
     exit 1

@@ -25,20 +25,21 @@
 //!
 //! Figure scenarios are independent: each builds its own machine, engine and
 //! hypervisor from the shared [`ExperimentConfig`] and derives deterministic
-//! per-VM seeds from it. `--jobs N` therefore runs them on `N` worker
-//! threads through [`run_jobs`] (the cloudscale, fleet, failures and
-//! service sweeps additionally fan their own points out over the same
-//! budget); outputs are buffered and printed in the requested order, so the
-//! report is byte-identical whatever the parallelism. The `fleet` scenario (the `kyoto-cluster` subsystem,
-//! including its churn sweep — `churn` renders that half alone) runs its
-//! cluster cells on scoped threads when `--parallel-engine` is set — also
-//! bit-identically.
-//! `--parallel-engine` additionally runs each scenario's engine ticks with
-//! one thread per populated socket (`SimEngine::run_slots_parallel`); the
-//! per-socket op order is preserved exactly, so figure content stays
-//! byte-identical with the switch on or off. `--no-timing` suppresses the
-//! wall-clock lines, making the *entire* output byte-deterministic — the CI
-//! determinism gate diffs two such runs. `--scenario NAME` is an explicit
+//! per-VM seeds from it. `--jobs N` therefore runs them on `N` workers
+//! through [`run_jobs`] (the cloudscale, fleet, failures and service sweeps
+//! additionally fan their own points out over the same budget); outputs are
+//! buffered and printed in the requested order, so the report is
+//! byte-identical whatever the parallelism. `--parallel-engine` turns on the
+//! two in-scenario layers as well: every scenario's engine ticks run one
+//! worker per populated socket (`SimEngine::run_slots_parallel`), and every
+//! fleet cluster (the `kyoto-cluster` subsystem behind `fleet`, `churn`,
+//! `failures` and `service`) runs one worker per cell. All three layers fan
+//! out through the one executor `kyoto_sim::fanout::fan_out`, which returns
+//! results in input order; per-socket op order and cell-id merge order are
+//! preserved exactly, so figure content stays byte-identical with the
+//! switch on or off. `--no-timing` suppresses the wall-clock lines, making
+//! the *entire* output byte-deterministic — the CI determinism gate diffs
+//! two such runs. `--scenario NAME` is an explicit
 //! way to select one target (identical to passing `NAME` positionally).
 //! `--trace-out PATH` additionally captures one representative cycle-domain
 //! trace per selected target domain ([`kyoto_experiments::trace`]) and

@@ -6,12 +6,12 @@
 //! Each [`Cell`] *owns* its simulated machine, engine and KS4Xen hypervisor
 //! outright — cells share no state whatsoever. An epoch runs every cell for
 //! [`ClusterConfig::epoch_ticks`] scheduler ticks; because the cells are
-//! disjoint, the cluster can execute them serially or one-per-scoped-thread
-//! ([`ClusterConfig::parallel_cells`]) with **bit-identical** results — the
-//! same split-borrow argument that made socket-parallel engine execution
-//! safe, applied one level up. The only cross-cell communication is the
-//! control plane between epochs: snapshot → plan → apply, all single
-//! threaded and pure.
+//! disjoint, the cluster can execute them serially or one worker per cell
+//! of [`kyoto_sim::fanout::fan_out`] ([`ClusterConfig::parallel_cells`])
+//! with **bit-identical** results — the same split-borrow argument that
+//! made socket-parallel engine execution safe, applied one level up. The
+//! only cross-cell communication is the control plane between epochs:
+//! snapshot → plan → apply, all single threaded and pure.
 //!
 //! # Migration mechanics
 //!
@@ -59,6 +59,7 @@ use kyoto_core::monitor::MonitoringStrategy;
 use kyoto_hypervisor::hypervisor::{Hypervisor, HypervisorConfig, TakenVm};
 use kyoto_hypervisor::lifecycle::VcpuState;
 use kyoto_hypervisor::vm::{VcpuId, VmConfig, VmId, VmReport};
+use kyoto_sim::fanout::fan_out;
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
 use kyoto_sim::workload::Workload;
@@ -84,9 +85,11 @@ pub struct ClusterConfig {
     pub scale: u64,
     /// Scheduler ticks per epoch (the control-loop period).
     pub epoch_ticks: u64,
-    /// Run each cell's epoch on its own scoped thread. Results are
-    /// bit-identical to the serial loop — cells share no state — so this is
-    /// purely a wall-clock switch (property-tested).
+    /// Run each cell's epoch on its own worker of
+    /// [`kyoto_sim::fanout::fan_out`] (one worker per cell). Results are
+    /// bit-identical to the serial loop — cells share no state and
+    /// `fan_out` returns them in cell order — so this is purely a
+    /// wall-clock switch (property-tested).
     pub parallel_cells: bool,
     /// Consolidation policy driving the migration planner.
     pub policy: ConsolidationPolicy,
@@ -844,7 +847,7 @@ impl Cluster {
 
     /// Runs one epoch: the fault boundary fires first (recoveries, then the
     /// [`FaultPlan`]'s faults, then the orphan retry queue), every cell
-    /// executes `epoch_ticks` (serially or on scoped threads,
+    /// executes `epoch_ticks` (serially or fanned out one worker per cell,
     /// bit-identically), then the control plane snapshots the fleet, plans
     /// migrations under the configured policy and applies them — minus any
     /// move an injected [`FaultEvent::MigrationAbort`] claims (arrivals
@@ -868,26 +871,14 @@ impl Cluster {
         let aborts = self.apply_fault_boundary(&mut faults)?;
         let epoch_ticks = self.config.epoch_ticks;
         let downtime = self.planner.config().cost.downtime_ticks;
-        let parallel = self.config.parallel_cells && self.cells.len() >= 2;
-        let placements: Vec<Result<Vec<(FleetVmId, VmId)>, ClusterError>> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .cells
-                    .iter_mut()
-                    .map(|cell| scope.spawn(move || cell.run_epoch(epoch_ticks, downtime)))
-                    .collect();
-                handles
-                    .into_iter()
-                    // kyoto-lint: allow(cluster-no-panic): join() only errs if the child panicked; re-raising that panic is the correct propagation
-                    .map(|handle| handle.join().expect("cell epoch thread"))
-                    .collect()
-            })
+        let workers = if self.config.parallel_cells {
+            self.cells.len()
         } else {
-            self.cells
-                .iter_mut()
-                .map(|cell| cell.run_epoch(epoch_ticks, downtime))
-                .collect()
+            1
         };
+        let placements = fan_out(self.cells.iter_mut().collect(), workers, |cell| {
+            cell.run_epoch(epoch_ticks, downtime)
+        });
         for placed in placements {
             for (fleet, local) in placed? {
                 let vm = self

@@ -7,8 +7,8 @@
 //!
 //! * [`cluster`] — the [`cluster::Cluster`]: N independent
 //!   machine+hypervisor [`cluster::Cell`]s advanced by a deterministic,
-//!   epoch-driven control loop (serially or one-cell-per-scoped-thread,
-//!   bit-identically);
+//!   epoch-driven control loop (serially or one worker per cell of
+//!   `kyoto_sim::fanout::fan_out`, bit-identically);
 //! * [`planner`] — the pure [`planner::MigrationPlanner`] with its
 //!   load-balancing, bin-packing, pollution-aware and density-capped
 //!   consolidation policies, the live-migration cost model (downtime

@@ -23,11 +23,15 @@ pub struct ExperimentConfig {
     pub warmup_ticks: u64,
     /// Measured ticks.
     pub measure_ticks: u64,
-    /// Run scenario hypervisors with socket-parallel engine execution (one
-    /// thread per populated socket inside each tick). Results are
-    /// bit-identical to the serial engine — the parallel path preserves
-    /// per-socket op order exactly — so every figure is byte-identical with
-    /// the switch on or off; only multi-socket wall-clock time changes.
+    /// Turns on both in-scenario parallel layers: socket-parallel engine
+    /// execution in every scenario hypervisor (one worker per populated
+    /// socket inside each tick) and cell-parallel epochs in every fleet
+    /// cluster (one worker per cell, via `fleet::cluster_config` and the
+    /// traced scenarios). Both fan out through `kyoto_sim::fanout::fan_out`
+    /// and are bit-identical to serial execution — the engine preserves
+    /// per-socket op order, the cluster merges cells in id order — so every
+    /// figure and trace is byte-identical with the switch on or off; only
+    /// wall-clock time changes.
     pub parallel_engine: bool,
 }
 

@@ -4,12 +4,11 @@ use crate::config::ExperimentConfig;
 use kyoto_hypervisor::hypervisor::Hypervisor;
 use kyoto_hypervisor::scheduler::Scheduler;
 use kyoto_hypervisor::vm::{VmId, VmReport};
+use kyoto_sim::fanout::fan_out;
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::CoreId;
 use kyoto_sim::workload::Workload;
 use kyoto_workloads::spec::SpecApp;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The three co-location modes assessed in Section 2.2.4 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,37 +223,14 @@ pub fn spec_workload(config: &ExperimentConfig, app: SpecApp, salt: u64) -> Box<
     Box::new(config.workload(app, vm_seed(config, salt)))
 }
 
-/// Runs `count` independent sweep cells on up to `jobs` scoped worker
-/// threads, preserving input order (`jobs <= 1` runs on the calling
+/// Runs `count` independent sweep cells on up to `jobs` workers of
+/// [`fan_out`], preserving input order (`jobs <= 1` runs on the calling
 /// thread). Every cell must derive all its seeds from shared, immutable
 /// inputs, so the assembled result is byte-identical whatever the
 /// parallelism — the work-stealing shape behind the cloudscale, fleet,
 /// failures and service sweeps (and `figures --jobs` one level up).
 pub fn run_jobs<T: Send>(count: usize, jobs: usize, run_one: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = jobs.clamp(1, count.max(1));
-    if workers <= 1 {
-        return (0..count).map(run_one).collect();
-    }
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                let result = run_one(index);
-                results.lock().expect("no poisoned worker")[index] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("no poisoned worker")
-        .into_iter()
-        .map(|cell| cell.expect("every cell computed"))
-        .collect()
+    fan_out((0..count).collect(), jobs, run_one)
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 
 use crate::cache::OwnerId;
 use crate::error::SimError;
+use crate::fanout::fan_out;
 use crate::hierarchy::{AccessKind, AccessOutcome};
 use crate::pmc::PmcSet;
 use crate::shadow::ShadowAttribution;
@@ -242,14 +243,14 @@ impl AccessMem for SocketView<'_> {
 /// coupled by a shadow-attributed owner that has slots on more than one of
 /// them). Single-socket components keep using [`SocketView`] directly, so the
 /// common path pays no extra indirection.
-struct SocketGroup<'a> {
-    views: Vec<SocketView<'a>>,
-    /// Socket index -> position in `views` (only the member sockets are
-    /// populated; a routed access to any other socket is a grouping bug).
-    view_of_socket: Vec<usize>,
+struct SocketGroup<'g, 'a> {
+    views: &'g mut [SocketView<'a>],
+    /// Socket index -> position of its view among its component's member
+    /// views (a routed access to a non-member socket is a grouping bug).
+    view_of_socket: &'g [usize],
 }
 
-impl AccessMem for SocketGroup<'_> {
+impl AccessMem for SocketGroup<'_, '_> {
     #[inline]
     fn access_routed(
         &mut self,
@@ -261,6 +262,16 @@ impl AccessMem for SocketGroup<'_> {
         let view = self.view_of_socket[route.socket_index()];
         self.views[view].access_routed(route, addr, kind, owner)
     }
+}
+
+/// One socket-parallel work item: a component's member socket views (in
+/// socket order), its share of the batch with each slot's position in the
+/// whole batch, and its shadow partition.
+struct Component<'m, 's, 'wl> {
+    views: Vec<SocketView<'m>>,
+    positions: Vec<usize>,
+    batch: Batch<'s, 'wl>,
+    shadow: Option<ShadowAttribution>,
 }
 
 /// Executes one micro-op for a slot, accumulating its cycle cost, counter
@@ -319,26 +330,39 @@ fn execute_op<M: AccessMem>(
     }
 }
 
-/// The batched/epoch interleaving loop shared by [`SimEngine::run_slots`]
-/// (whole machine) and the per-socket groups of
+/// One batched call's runnable slots with their per-slot operands, as
+/// parallel arrays in slot order: the input and output of
+/// [`run_epoch_interleaving`].
+#[derive(Default)]
+struct Batch<'s, 'wl> {
+    slots: Vec<&'s mut ExecSlot<'wl>>,
+    queues: Vec<OpQueue>,
+    routes: Vec<AccessRoute>,
+    mlps: Vec<f64>,
+    reports: Vec<QuantumReport>,
+}
+
+/// The batched/epoch interleaving loop of [`SimEngine::run_slots`] (whole
+/// machine) and of each socket component of
 /// [`SimEngine::run_slots_parallel`] (split-borrowed socket views).
 ///
 /// Pops the furthest-behind slot from a min-heap on
 /// `(consumed_cycles, slot index)` — exactly the slot the reference path's
 /// linear scan would pick — and runs it op by op until it would no longer be
 /// the scheduling minimum (or its budget is spent), then requeues it.
-/// `slots`, `queues`, `routes`, `mlps` and `reports` are parallel arrays.
-#[allow(clippy::too_many_arguments)]
 fn run_epoch_interleaving<M: AccessMem>(
     machine: &mut M,
     shadow: &mut Option<ShadowAttribution>,
-    slots: &mut [&mut ExecSlot<'_>],
-    queues: &mut [OpQueue],
-    routes: &[AccessRoute],
-    mlps: &[f64],
-    reports: &mut [QuantumReport],
+    batch: &mut Batch<'_, '_>,
     cycle_budget: u64,
 ) {
+    let Batch {
+        slots,
+        queues,
+        routes,
+        mlps,
+        reports,
+    } = batch;
     let n = slots.len();
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n).map(|i| Reverse((0u64, i))).collect();
     while let Some(Reverse((_, i))) = heap.pop() {
@@ -560,7 +584,67 @@ impl SimEngine {
         slots: &mut [ExecSlot<'_>],
         cycle_budget: u64,
     ) -> Vec<QuantumReport> {
+        self.run_batched(slots, cycle_budget, false)
+    }
+
+    /// Runs every slot for `cycle_budget` cycles like
+    /// [`SimEngine::run_slots`], running each socket's slots on its own
+    /// worker of [`fan_out`].
+    ///
+    /// Sockets share no cache state, so the machine is split into
+    /// independently mutable per-socket views ([`Machine::sockets_mut`]) and
+    /// the batch is partitioned by the socket of each slot's core; every
+    /// group runs the same epoch interleaving as the serial path against its
+    /// own view. Within a socket the produced op order — and therefore every
+    /// cache state, counter, pollution attribution and shadow observation —
+    /// is bit-identical to [`SimEngine::run_slots`] and
+    /// [`SimEngine::run_slots_reference`] over the same slots; only the
+    /// cross-socket interleaving in wall-clock time differs, which no
+    /// simulation output observes. Shadow-attribution state is partitioned
+    /// by owner along the same socket boundaries and merged back, in socket
+    /// order, after the workers finish.
+    ///
+    /// Runs serially on the calling thread when fewer than two sockets have
+    /// runnable slots (nothing to parallelise). When shadow attribution is
+    /// enabled and an owner has slots on several sockets *in the current
+    /// batch* (its single shadow cache cannot be driven from two threads
+    /// deterministically), only the sockets coupled by such owners share a
+    /// worker — every other populated socket keeps its own. Only when the
+    /// coupling collapses every populated socket into a single component
+    /// does the whole call run serially. Owners that spanned sockets in
+    /// *earlier* calls, or that merely have shadow state but no slot in this
+    /// batch, never affect the decision.
+    ///
+    /// [`ExecSlot::blocked`] slots are skipped exactly as in the serial
+    /// path — they populate no socket group, couple no sockets, execute
+    /// nothing and keep their carried ops parked — so the two paths stay
+    /// bit-identical under blocking too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot references a core that does not exist on the machine
+    /// (a programming error in the hypervisor layer).
+    pub fn run_slots_parallel(
+        &mut self,
+        slots: &mut [ExecSlot<'_>],
+        cycle_budget: u64,
+    ) -> Vec<QuantumReport> {
+        self.run_batched(slots, cycle_budget, true)
+    }
+
+    /// The one batched call body behind [`SimEngine::run_slots`] and
+    /// [`SimEngine::run_slots_parallel`]: they differ only in whether the
+    /// runnable slots may be split into socket components.
+    fn run_batched(
+        &mut self,
+        slots: &mut [ExecSlot<'_>],
+        cycle_budget: u64,
+        parallel: bool,
+    ) -> Vec<QuantumReport> {
         let n = slots.len();
+        if parallel {
+            self.last_parallel_groups = 0;
+        }
         let mut reports = vec![QuantumReport::default(); n];
         if n == 0 || cycle_budget == 0 {
             return reports;
@@ -573,7 +657,7 @@ impl SimEngine {
                 tags.sort_unstable();
                 tags.windows(2).all(|w| w[0] != w[1])
             },
-            "slot tags must be unique within one run_slots call"
+            "slot tags must be unique within one batched call"
         );
         self.begin_batched_call();
         self.refresh_blocked_carries(slots);
@@ -585,45 +669,45 @@ impl SimEngine {
         // original index is monotone, so the epoch tie-break (local array
         // index) preserves relative order — bit-identity discipline holds.
         let active: Vec<usize> = (0..n).filter(|&i| !slots[i].blocked).collect();
+        let mut batch = Batch {
+            // Pick the op streams up exactly where the previous call left
+            // them.
+            queues: active
+                .iter()
+                .map(|&i| {
+                    self.op_carry
+                        .remove(&slots[i].tag)
+                        .map(|carried| carried.queue)
+                        .unwrap_or_default()
+                })
+                .collect(),
+            // Memory-level parallelism and the access route are static per
+            // slot; hoist both out of the per-op loop.
+            mlps: active
+                .iter()
+                .map(|&i| slots[i].workload.mem_parallelism().max(1.0))
+                .collect(),
+            routes: active
+                .iter()
+                .map(|&i| {
+                    let slot = &slots[i];
+                    self.machine
+                        .route(slot.core, slot.data_node, slot.force_remote)
+                        .expect("slot references an unknown core")
+                })
+                .collect(),
+            reports: vec![QuantumReport::default(); active.len()],
+            slots: slots.iter_mut().filter(|slot| !slot.blocked).collect(),
+        };
 
-        // Pick the op streams up exactly where the previous call left them.
-        let mut queues: Vec<OpQueue> = active
-            .iter()
-            .map(|&i| {
-                self.op_carry
-                    .remove(&slots[i].tag)
-                    .map(|carried| carried.queue)
-                    .unwrap_or_default()
-            })
-            .collect();
-        // Memory-level parallelism and the access route are static per
-        // slot; hoist both out of the per-op loop.
-        let mlps: Vec<f64> = active
-            .iter()
-            .map(|&i| slots[i].workload.mem_parallelism().max(1.0))
-            .collect();
-        let routes: Vec<AccessRoute> = active
-            .iter()
-            .map(|&i| {
-                let slot = &slots[i];
-                self.machine
-                    .route(slot.core, slot.data_node, slot.force_remote)
-                    .expect("slot references an unknown core")
-            })
-            .collect();
-
-        let mut sub_reports = vec![QuantumReport::default(); active.len()];
-        if !active.is_empty() {
-            let mut slot_refs: Vec<&mut ExecSlot<'_>> =
-                slots.iter_mut().filter(|slot| !slot.blocked).collect();
+        let components = parallel.then(|| self.socket_components(&batch)).flatten();
+        if let Some(components) = components {
+            self.run_components(&mut batch, components, cycle_budget);
+        } else {
             run_epoch_interleaving(
                 &mut self.machine,
                 &mut self.shadow,
-                &mut slot_refs,
-                &mut queues,
-                &routes,
-                &mlps,
-                &mut sub_reports,
+                &mut batch,
                 cycle_budget,
             );
         }
@@ -631,14 +715,14 @@ impl SimEngine {
         // Scatter the active results back to original slot order; blocked
         // positions keep default reports and default (drained) queues, so
         // `finish_batched_call` leaves their carried ops untouched.
-        let mut full_queues: Vec<OpQueue> = Vec::with_capacity(n);
-        full_queues.resize_with(n, OpQueue::default);
-        for ((&i, report), queue) in active.iter().zip(&sub_reports).zip(queues) {
-            reports[i] = *report;
-            full_queues[i] = queue;
+        let mut queues: Vec<OpQueue> = Vec::with_capacity(n);
+        queues.resize_with(n, OpQueue::default);
+        for ((&i, report), queue) in active.iter().zip(batch.reports).zip(batch.queues) {
+            reports[i] = report;
+            queues[i] = queue;
         }
 
-        self.finish_batched_call(slots, full_queues, &reports);
+        self.finish_batched_call(slots, queues, &reports);
         self.record_batch_trace(trace_start, &reports);
         reports
     }
@@ -659,10 +743,9 @@ impl SimEngine {
     /// Records one batched call into the trace sink: the `engine.run_slots`
     /// span covering `[start, elapsed)` on the simulated clock, plus PMC
     /// counters and the batch-cycles histogram. A single branch when
-    /// tracing is off. Both the serial and socket-parallel paths call this
-    /// exactly once per top-level batched call (the parallel path's serial
-    /// fallbacks record through `run_slots` itself), so traces are
-    /// byte-identical across the two modes.
+    /// tracing is off. The one batched body calls this exactly once per
+    /// call, serial or socket-parallel, so traces are byte-identical across
+    /// the two modes.
     fn record_batch_trace(&mut self, start: u64, reports: &[QuantumReport]) {
         if !self.trace.is_enabled() {
             return;
@@ -775,303 +858,143 @@ impl SimEngine {
         reports
     }
 
-    /// Runs every slot for `cycle_budget` cycles like
-    /// [`SimEngine::run_slots`], executing each socket's slots on its own
-    /// scoped thread.
-    ///
-    /// Sockets share no cache state, so the machine is split into
-    /// independently mutable per-socket views ([`Machine::sockets_mut`]) and
-    /// the batch is partitioned by the socket of each slot's core; every
-    /// group runs the same epoch interleaving as the serial path against its
-    /// own view. Within a socket the produced op order — and therefore every
-    /// cache state, counter, pollution attribution and shadow observation —
-    /// is bit-identical to [`SimEngine::run_slots`] and
-    /// [`SimEngine::run_slots_reference`] over the same slots; only the
-    /// cross-socket interleaving in wall-clock time differs, which no
-    /// simulation output observes. Shadow-attribution state is partitioned
-    /// by owner along the same socket boundaries and merged back after the
-    /// threads join.
-    ///
-    /// Falls back to the serial path when fewer than two sockets have slots
-    /// (nothing to parallelise). When shadow attribution is enabled and an
-    /// owner has slots on several sockets *in the current batch* (its single
-    /// shadow cache cannot be driven from two threads deterministically),
-    /// only the sockets coupled by such owners are merged onto one thread —
-    /// every other populated socket keeps its own thread. Only when the
-    /// coupling collapses every populated socket into a single component
-    /// does the whole call run serially. Owners that spanned sockets in
-    /// *earlier* calls, or that merely have shadow state but no slot in this
-    /// batch, never affect the decision.
-    ///
-    /// [`ExecSlot::blocked`] slots are skipped exactly as in the serial
-    /// path — they populate no socket group, couple no sockets, execute
-    /// nothing and keep their carried ops parked — so the two paths stay
-    /// bit-identical under blocking too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slot references a core that does not exist on the machine
-    /// (a programming error in the hypervisor layer).
-    pub fn run_slots_parallel(
-        &mut self,
-        slots: &mut [ExecSlot<'_>],
-        cycle_budget: u64,
-    ) -> Vec<QuantumReport> {
-        let n = slots.len();
-        self.last_parallel_groups = 0;
-        if n == 0 || cycle_budget == 0 {
-            return vec![QuantumReport::default(); n];
-        }
-        let trace_start = self.elapsed_cycles;
-        // Decide the serial fallback before resolving any routes: on a
-        // single-socket machine (the default `figures` machine) every tick
-        // takes this exit, so it must stay allocation-free beyond the
-        // grouping itself.
+    /// The execution components of a parallel call's runnable slots, as
+    /// `(count, component of each socket)`: normally one component per
+    /// populated socket. With shadow attribution on, sockets sharing an
+    /// owner in this batch must run on the same worker (one shadow cache per
+    /// owner), so they are unioned into one component. Only owners with
+    /// slots in the current batch participate — stale shadow state or
+    /// placements from earlier calls cannot force a merge. Components are
+    /// numbered in ascending order of their smallest member socket, the
+    /// fan-out and merge order. `None` when there are fewer than two
+    /// components: nothing to parallelise.
+    fn socket_components(&self, batch: &Batch<'_, '_>) -> Option<(usize, Vec<Option<usize>>)> {
         let num_sockets = self.machine.num_sockets();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); num_sockets];
-        let mut slot_sockets: Vec<usize> = Vec::with_capacity(n);
-        for (i, slot) in slots.iter().enumerate() {
-            let socket = self
-                .machine
-                .socket_of(slot.core)
-                .expect("slot references an unknown core")
-                .0;
-            // Blocked slots execute nothing: they neither populate a socket
-            // group nor couple sockets via shadow owners. The serial path
-            // applies the same filter, so the per-socket active order — and
-            // with it bit-identity — is preserved.
-            if !slot.blocked {
-                groups[socket].push(i);
-            }
-            slot_sockets.push(socket);
+        let mut populated = vec![false; num_sockets];
+        for route in &batch.routes {
+            populated[route.socket_index()] = true;
         }
-        let populated = groups.iter().filter(|group| !group.is_empty()).count();
-        if populated < 2 {
-            return self.run_slots(slots, cycle_budget);
+        if populated.iter().filter(|&&p| p).count() < 2 {
+            return None;
         }
-        // Execution components: normally one per populated socket. With
-        // shadow attribution on, sockets sharing an owner in this batch must
-        // run on the same thread (one shadow cache per owner), so they are
-        // unioned into one component. Only owners with slots in the current
-        // batch participate — stale shadow state or placements from earlier
-        // calls cannot force a merge.
-        let mut component: Vec<usize> = (0..num_sockets).collect();
-        fn find(component: &mut [usize], mut socket: usize) -> usize {
-            while component[socket] != socket {
-                component[socket] = component[component[socket]];
-                socket = component[socket];
+        let mut root: Vec<usize> = (0..num_sockets).collect();
+        fn find(root: &mut [usize], mut socket: usize) -> usize {
+            while root[socket] != socket {
+                root[socket] = root[root[socket]];
+                socket = root[socket];
             }
             socket
         }
         if self.shadow.is_some() {
-            let mut owner_socket: HashMap<OwnerId, usize> = HashMap::with_capacity(n);
-            for (slot, &socket) in slots.iter().zip(&slot_sockets) {
-                if slot.blocked {
-                    continue;
-                }
+            let mut owner_socket: HashMap<OwnerId, usize> =
+                HashMap::with_capacity(batch.slots.len());
+            for (slot, route) in batch.slots.iter().zip(&batch.routes) {
+                let socket = route.socket_index();
                 if let Some(&previous) = owner_socket.get(&slot.owner) {
-                    let a = find(&mut component, previous);
-                    let b = find(&mut component, socket);
+                    let a = find(&mut root, previous);
+                    let b = find(&mut root, socket);
                     // Union by smaller root so component labels stay
                     // deterministic.
-                    component[a.max(b)] = a.min(b);
+                    root[a.max(b)] = a.min(b);
                 } else {
                     owner_socket.insert(slot.owner, socket);
                 }
             }
         }
-        // Enumerate components of populated sockets in ascending order of
-        // their smallest member socket (the spawn/merge order).
         let mut component_of_root: Vec<Option<usize>> = vec![None; num_sockets];
-        let mut component_sockets: Vec<Vec<usize>> = Vec::new();
-        for (socket, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let root = find(&mut component, socket);
-            match component_of_root[root] {
-                Some(c) => component_sockets[c].push(socket),
-                None => {
-                    component_of_root[root] = Some(component_sockets.len());
-                    component_sockets.push(vec![socket]);
-                }
-            }
-        }
-        if component_sockets.len() < 2 {
-            // Every populated socket is coupled to every other: nothing left
-            // to parallelise.
-            return self.run_slots(slots, cycle_budget);
-        }
-
-        self.resolve_data_nodes(slots);
-        let routes: Vec<AccessRoute> = slots
-            .iter()
-            .map(|slot| {
-                self.machine
-                    .route(slot.core, slot.data_node, slot.force_remote)
-                    .expect("slot references an unknown core")
+        let mut count = 0;
+        let component_of_socket = (0..num_sockets)
+            .map(|socket| {
+                populated[socket].then(|| {
+                    let r = find(&mut root, socket);
+                    *component_of_root[r].get_or_insert_with(|| {
+                        count += 1;
+                        count - 1
+                    })
+                })
             })
             .collect();
+        (count >= 2).then_some((count, component_of_socket))
+    }
 
-        debug_assert!(
-            {
-                let mut tags: Vec<u64> = slots.iter().map(|s| s.tag).collect();
-                tags.sort_unstable();
-                tags.windows(2).all(|w| w[0] != w[1])
-            },
-            "slot tags must be unique within one run_slots_parallel call"
-        );
-        self.begin_batched_call();
-        self.refresh_blocked_carries(slots);
-
-        let mut queues: Vec<Option<OpQueue>> = slots
-            .iter()
-            .map(|slot| {
-                if slot.blocked {
-                    // The stream stays parked in the carry map.
-                    None
-                } else {
-                    self.op_carry.remove(&slot.tag).map(|carried| carried.queue)
-                }
+    /// Splits `batch` into `count` (at least two) components, runs each on
+    /// its own [`fan_out`] worker against the split-borrowed views of its
+    /// member sockets, then scatters reports and queues back into `batch`
+    /// and reabsorbs the shadow partitions in component order.
+    fn run_components(
+        &mut self,
+        batch: &mut Batch<'_, '_>,
+        (count, component_of_socket): (usize, Vec<Option<usize>>),
+        cycle_budget: u64,
+    ) {
+        self.last_parallel_groups = count;
+        let mut parts: Vec<Component<'_, '_, '_>> = (0..count)
+            .map(|_| Component {
+                views: Vec::new(),
+                positions: Vec::new(),
+                batch: Batch::default(),
+                shadow: None,
             })
             .collect();
-        let mlps: Vec<f64> = slots
-            .iter()
-            .map(|slot| slot.workload.mem_parallelism().max(1.0))
-            .collect();
-        // One work item per component, in component order: the component's
-        // slots (with their original indices, ascending — the relative order
-        // the epoch tie-break depends on) plus its parallel arrays.
-        struct GroupWork<'engine, 'wl> {
-            sockets: Vec<usize>,
-            indices: Vec<usize>,
-            slots: Vec<&'engine mut ExecSlot<'wl>>,
-            queues: Vec<OpQueue>,
-            routes: Vec<AccessRoute>,
-            mlps: Vec<f64>,
-            shadow: Option<ShadowAttribution>,
-        }
-        let mut work: Vec<GroupWork<'_, '_>> = component_sockets
-            .into_iter()
-            .map(|sockets| {
-                let mut indices: Vec<usize> = sockets
-                    .iter()
-                    .flat_map(|&s| groups[s].iter().copied())
-                    .collect();
-                indices.sort_unstable();
-                let shadow = self.shadow.as_mut().map(|shadow| {
-                    let owners: Vec<OwnerId> = indices.iter().map(|&i| slots[i].owner).collect();
-                    shadow.take_partition(&owners)
-                });
-                GroupWork {
-                    sockets,
-                    slots: Vec::with_capacity(indices.len()),
-                    queues: indices
-                        .iter()
-                        .map(|&i| queues[i].take().unwrap_or_default())
-                        .collect(),
-                    routes: indices.iter().map(|&i| routes[i]).collect(),
-                    mlps: indices.iter().map(|&i| mlps[i]).collect(),
-                    shadow,
-                    indices,
-                }
-            })
-            .collect();
-        // Distribute the exclusive slot borrows into their components (in
-        // original index order, matching each component's sorted `indices`).
-        let mut work_of_socket: Vec<Option<usize>> = vec![None; num_sockets];
-        for (w, group) in work.iter().enumerate() {
-            for &socket in &group.sockets {
-                work_of_socket[socket] = Some(w);
+        let mut view_of_socket = vec![usize::MAX; component_of_socket.len()];
+        let views = self.machine.sockets_mut().zip(&component_of_socket);
+        for (socket, (view, component)) in views.enumerate() {
+            if let Some(c) = *component {
+                view_of_socket[socket] = parts[c].views.len();
+                parts[c].views.push(view);
             }
         }
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.blocked {
-                continue;
-            }
-            let w = work_of_socket[routes[i].socket_index()].expect("populated socket");
-            work[w].slots.push(slot);
+        // Each component's slots keep their ascending batch order: the
+        // relative order the epoch tie-break depends on.
+        for (position, slot) in std::mem::take(&mut batch.slots).into_iter().enumerate() {
+            let route = batch.routes[position];
+            let c = component_of_socket[route.socket_index()].expect("populated socket");
+            let queue = std::mem::take(&mut batch.queues[position]);
+            let part = &mut parts[c];
+            part.positions.push(position);
+            part.batch.slots.push(slot);
+            part.batch.queues.push(queue);
+            part.batch.routes.push(route);
+            part.batch.mlps.push(batch.mlps[position]);
+            part.batch.reports.push(QuantumReport::default());
         }
-        self.last_parallel_groups = work.len();
+        if let Some(shadow) = self.shadow.as_mut() {
+            for part in &mut parts {
+                let owners: Vec<OwnerId> = part.batch.slots.iter().map(|slot| slot.owner).collect();
+                part.shadow = Some(shadow.take_partition(&owners));
+            }
+        }
 
-        // Execute every component on its own scoped thread, against the
-        // split-borrowed views of its member sockets. Single-socket
-        // components (the common case) drive their `SocketView` directly;
-        // merged components route each access to the right member view.
-        let mut views: Vec<Option<SocketView<'_>>> = self.machine.sockets_mut().map(Some).collect();
-        let finished: Vec<(GroupWork<'_, '_>, Vec<QuantumReport>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(work.len());
-            for mut group in work {
-                if group.sockets.len() == 1 {
-                    let mut view = views[group.sockets[0]].take().expect("one view per socket");
-                    handles.push(scope.spawn(move || {
-                        let mut reports = vec![QuantumReport::default(); group.slots.len()];
-                        run_epoch_interleaving(
-                            &mut view,
-                            &mut group.shadow,
-                            &mut group.slots,
-                            &mut group.queues,
-                            &group.routes,
-                            &group.mlps,
-                            &mut reports,
-                            cycle_budget,
-                        );
-                        (group, reports)
-                    }));
-                } else {
-                    let mut view_of_socket = vec![usize::MAX; num_sockets];
-                    let mut member_views = Vec::with_capacity(group.sockets.len());
-                    for &socket in &group.sockets {
-                        view_of_socket[socket] = member_views.len();
-                        member_views.push(views[socket].take().expect("one view per socket"));
-                    }
-                    let mut view = SocketGroup {
-                        views: member_views,
+        let finished = fan_out(parts, count, |mut part| {
+            let (batch, shadow) = (&mut part.batch, &mut part.shadow);
+            match part.views.as_mut_slice() {
+                [view] => run_epoch_interleaving(view, shadow, batch, cycle_budget),
+                views => {
+                    let view_of_socket = &view_of_socket;
+                    let mut group = SocketGroup {
+                        views,
                         view_of_socket,
                     };
-                    handles.push(scope.spawn(move || {
-                        let mut reports = vec![QuantumReport::default(); group.slots.len()];
-                        run_epoch_interleaving(
-                            &mut view,
-                            &mut group.shadow,
-                            &mut group.slots,
-                            &mut group.queues,
-                            &group.routes,
-                            &group.mlps,
-                            &mut reports,
-                            cycle_budget,
-                        );
-                        (group, reports)
-                    }));
+                    run_epoch_interleaving(&mut group, shadow, batch, cycle_budget);
                 }
             }
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("socket worker panicked"))
-                .collect()
+            part
         });
-        drop(views);
 
-        // Deterministic merge: scatter reports back to original slot order
-        // and reabsorb shadow partitions in component order (`finished`
-        // preserves spawn order, which is component order).
-        let mut reports = vec![QuantumReport::default(); n];
-        let mut merged_queues: Vec<OpQueue> = Vec::with_capacity(n);
-        merged_queues.resize_with(n, OpQueue::default);
-        for (group, group_reports) in finished {
-            for ((&orig, report), queue) in
-                group.indices.iter().zip(group_reports).zip(group.queues)
+        for part in finished {
+            for ((position, report), queue) in part
+                .positions
+                .into_iter()
+                .zip(part.batch.reports)
+                .zip(part.batch.queues)
             {
-                reports[orig] = report;
-                merged_queues[orig] = queue;
+                batch.reports[position] = report;
+                batch.queues[position] = queue;
             }
-            if let (Some(shadow), Some(part)) = (self.shadow.as_mut(), group.shadow) {
-                shadow.merge(part);
+            if let (Some(shadow), Some(partition)) = (self.shadow.as_mut(), part.shadow) {
+                shadow.merge(partition);
             }
         }
-        self.finish_batched_call(slots, merged_queues, &reports);
-        self.record_batch_trace(trace_start, &reports);
-        reports
     }
 
     /// Resolves lazy data-node placement and validates slot cores.
@@ -1730,7 +1653,8 @@ mod tests {
     fn parallel_path_matches_serial_with_blocked_slots() {
         // The four-slot two-socket scenario with a rotating blocked slot:
         // both paths must agree bit-for-bit, including rounds where a whole
-        // socket is asleep (serial fallback) and rounds where both sockets
+        // socket is asleep (serial fallback), a round where every slot is
+        // asleep (no runnable slot at all) and rounds where both sockets
         // stay populated.
         let config = MachineConfig::scaled_paper_numa_machine(64);
         let run = |parallel: bool| {
@@ -1742,17 +1666,19 @@ mod tests {
                 })
                 .collect();
             let mut all_reports = Vec::new();
-            for round in 0..6usize {
+            for round in 0..7usize {
                 let mut slots: Vec<ExecSlot<'_>> = workloads
                     .iter_mut()
                     .enumerate()
                     .map(|(w, wl)| {
                         let core = CoreId(if w < 2 { w } else { w + 2 });
                         // Rounds 0-3 block one slot each; round 4 blocks all
-                        // of socket 1; round 5 runs everyone.
+                        // of socket 1; round 5 blocks everyone; round 6 runs
+                        // everyone.
                         let blocked = match round {
                             0..=3 => w == round,
                             4 => w >= 2,
+                            5 => true,
                             _ => false,
                         };
                         ExecSlot::new(core, w as OwnerId + 1, wl)

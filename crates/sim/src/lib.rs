@@ -21,6 +21,8 @@
 //!   access streams of co-scheduled virtual CPUs over the shared LLC.
 //! * [`shadow`] — per-owner shadow LLC used for simulator-based pollution
 //!   attribution (the McSimA+ stand-in of Section 3.3 of the paper).
+//! * [`fanout`] — the order-preserving scoped fan-out every parallel layer
+//!   (socket groups, fleet cells, scenario points) runs its work through.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@
 pub mod cache;
 pub mod engine;
 pub mod error;
+pub mod fanout;
 pub mod hierarchy;
 pub mod pmc;
 pub mod replacement;
