@@ -534,10 +534,12 @@ impl ScalingPoint {
 
 /// Measures parallel-engine wall-clock scaling on cloudscale cells of
 /// `socket_counts` sockets (`vms_per_socket` VMs each), running each cell
-/// once with the serial and once with the socket-parallel engine and taking
-/// the best of `reps` repetitions. The simulation outputs of the two runs
-/// are bit-identical; only the wall-clock differs. Consumed by the
-/// `substrate_baseline` binary for `BENCH_substrate.json`'s
+/// with the serial and with the socket-parallel engine and taking the best
+/// of `reps` repetitions of each. Each variant first runs once untimed, then
+/// serial and parallel reps alternate, so warm-up and host drift hit both
+/// sides alike instead of whichever variant is timed first. The simulation
+/// outputs of the two runs are bit-identical; only the wall-clock differs.
+/// Consumed by the `substrate_baseline` binary for `BENCH_substrate.json`'s
 /// `parallel_scaling_curve` series.
 pub fn measure_parallel_scaling(
     config: &ExperimentConfig,
@@ -547,29 +549,34 @@ pub fn measure_parallel_scaling(
 ) -> Vec<ScalingPoint> {
     let time_cell = |parallel: bool, sockets: usize| -> f64 {
         let run_config = config.with_parallel_engine(parallel);
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            // kyoto-lint: allow(wall-clock): this function *measures* wall-clock speedup; timing never feeds back into simulated results
-            let start = std::time::Instant::now();
-            let cell = run_cell(
-                &run_config,
-                sockets,
-                sockets * vms_per_socket,
-                PlacementPolicy::RoundRobin,
-            );
-            let elapsed = start.elapsed().as_secs_f64();
-            std::hint::black_box(cell);
-            best = best.min(elapsed);
-        }
-        best
+        // kyoto-lint: allow(wall-clock): this function *measures* wall-clock speedup; timing never feeds back into simulated results
+        let start = std::time::Instant::now();
+        let cell = run_cell(
+            &run_config,
+            sockets,
+            sockets * vms_per_socket,
+            PlacementPolicy::RoundRobin,
+        );
+        let elapsed = start.elapsed().as_secs_f64();
+        std::hint::black_box(cell);
+        elapsed
     };
     socket_counts
         .iter()
-        .map(|&sockets| ScalingPoint {
-            sockets,
-            vms: sockets * vms_per_socket,
-            serial_secs: time_cell(false, sockets),
-            parallel_secs: time_cell(true, sockets),
+        .map(|&sockets| {
+            time_cell(false, sockets);
+            time_cell(true, sockets);
+            let (mut serial_secs, mut parallel_secs) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..reps.max(1) {
+                serial_secs = serial_secs.min(time_cell(false, sockets));
+                parallel_secs = parallel_secs.min(time_cell(true, sockets));
+            }
+            ScalingPoint {
+                sockets,
+                vms: sockets * vms_per_socket,
+                serial_secs,
+                parallel_secs,
+            }
         })
         .collect()
 }

@@ -197,6 +197,30 @@ impl OpQueue {
     fn is_drained(&self) -> bool {
         self.head == self.buf.len()
     }
+
+    /// Executes the run of already-buffered [`Op::Compute`] ops at the head
+    /// of the queue, with the same cost as [`execute_op`]. Stops at the
+    /// cycle budget, at the first memory op or at the end of the buffer —
+    /// never refills, so fetch timing stays that of [`OpQueue::next`].
+    #[inline]
+    fn run_buffered_compute(&mut self, report: &mut QuantumReport, cycle_budget: u64) {
+        let start = report.consumed_cycles;
+        let mut consumed = start;
+        let mut instructions = 0u64;
+        let mut head = self.head;
+        while consumed < cycle_budget {
+            let Some(&Op::Compute { cycles }) = self.buf.get(head) else {
+                break;
+            };
+            consumed += u64::from(cycles.max(1));
+            instructions += 1;
+            head += 1;
+        }
+        self.head = head;
+        report.consumed_cycles = consumed;
+        report.pmc_delta.instructions += instructions;
+        report.pmc_delta.unhalted_core_cycles += consumed - start;
+    }
 }
 
 /// Memory-access target of the engine's execution loops: the whole machine
@@ -350,6 +374,18 @@ struct Batch<'s, 'wl> {
 /// `(consumed_cycles, slot index)` — exactly the slot the reference path's
 /// linear scan would pick — and runs it op by op until it would no longer be
 /// the scheduling minimum (or its budget is spent), then requeues it.
+///
+/// A slot yields only before an op that touches shared state. After each
+/// executed op the already-buffered run of [`Op::Compute`] at its queue head
+/// executes in one tight loop ([`OpQueue::run_buffered_compute`]), so a
+/// slot goes back on the heap only when it is past the scheduling limit and
+/// its next op is not a buffered compute op. This is bit-identical by
+/// construction: compute ops touch no cache, no shadow attribution and no
+/// shared counter, only the slot's own clock, so the global order of memory
+/// ops stays sorted by (start cycle, slot index) — the order
+/// [`SimEngine::run_slots_reference`] defines. The run never refills to
+/// look ahead: a chunk is fetched only to execute its first op, exactly
+/// when the op-at-a-time loop would fetch it.
 fn run_epoch_interleaving<M: AccessMem>(
     machine: &mut M,
     shadow: &mut Option<ShadowAttribution>,
@@ -379,6 +415,7 @@ fn run_epoch_interleaving<M: AccessMem>(
         loop {
             let op = queue.next(&mut *slot.workload);
             execute_op(machine, shadow, route, owner, mlp, op, report);
+            queue.run_buffered_compute(report, cycle_budget);
             let consumed = report.consumed_cycles;
             if consumed >= cycle_budget {
                 break;
@@ -568,6 +605,16 @@ impl SimEngine {
     /// bit-identical to advancing one op at a time as
     /// [`SimEngine::run_slots_reference`] does, which a property test
     /// asserts; only the bookkeeping cost per op differs.
+    ///
+    /// A slot yields to the others only before an op that touches shared
+    /// state: after every executed op, the run of [`Op::Compute`] already
+    /// buffered at the head of its queue executes in one tight loop, up to
+    /// the budget, the first load or store, or the end of the fetched chunk.
+    /// Compute ops move only the slot's own clock, so running them early
+    /// leaves the global order of memory ops — sorted by (start cycle, slot
+    /// index) — unchanged. The loop never fetches ahead: a chunk is fetched
+    /// only to execute its first op, so refill timing (which workloads such
+    /// as `Interactive` and VM migration observe) is unchanged too.
     ///
     /// Slots marked [`ExecSlot::blocked`] are skipped entirely: they
     /// execute no ops, consume zero cycles, report all-zero deltas, and

@@ -12,14 +12,16 @@
 //! (placements spreading slots across every socket), and the paper's
 //! execution modes (parallel co-scheduling and
 //! alternative time-sharing over successive calls, which exercises the
-//! carried op buffers).
+//! carried op buffers). Padded bursts pin the compute-run rule: buffered
+//! compute ops run without yielding, and a chunk is fetched only to execute
+//! its first op.
 
 use kyoto_sim::cache::OwnerId;
 use kyoto_sim::engine::{ExecSlot, SimEngine};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::replacement::ReplacementPolicy;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
-use kyoto_sim::workload::{Op, Workload};
+use kyoto_sim::workload::{FixedSequence, Op, Workload};
 use kyoto_sim::CacheStats;
 use proptest::prelude::*;
 
@@ -191,7 +193,6 @@ fn run_path(
     // same per-socket geometry.
     let config = MachineConfig::scaled_cloud_machine(sockets, 256).with_llc_policy(policy);
     let llc_lines = config.llc.num_lines();
-    let num_sockets = config.sockets;
     let mut engine = SimEngine::new(Machine::new(config));
     if shadow {
         engine.enable_shadow_attribution().unwrap();
@@ -235,6 +236,19 @@ fn run_path(
         reports.push(call_reports);
     }
 
+    observe(&engine, reports, pmcs)
+}
+
+/// Collects everything [`Observed`] compares from an engine after a run:
+/// per-socket LLC statistics and attribution for owners `0..=pmcs.len()`,
+/// shadow (solo) misses and the logical clock.
+fn observe(
+    engine: &SimEngine,
+    reports: Vec<Vec<kyoto_sim::QuantumReport>>,
+    pmcs: Vec<PmcSet>,
+) -> Observed {
+    let owners = 0..=pmcs.len() as OwnerId;
+    let num_sockets = engine.machine().config().sockets;
     let mut llc_stats = Vec::with_capacity(num_sockets);
     let mut llc_occupancy = Vec::with_capacity(num_sockets);
     let mut llc_misses_of = Vec::with_capacity(num_sockets);
@@ -242,15 +256,12 @@ fn run_path(
         let llc = engine.machine().socket(SocketId(s)).unwrap().llc();
         llc_stats.push(llc.stats());
         llc_occupancy.push(
-            (0..=workload_count as OwnerId)
+            owners
+                .clone()
                 .map(|owner| llc.occupancy_of(owner))
                 .collect(),
         );
-        llc_misses_of.push(
-            (0..=workload_count as OwnerId)
-                .map(|owner| llc.misses_of(owner))
-                .collect(),
-        );
+        llc_misses_of.push(owners.clone().map(|owner| llc.misses_of(owner)).collect());
     }
     Observed {
         reports,
@@ -258,7 +269,7 @@ fn run_path(
         llc_stats,
         llc_occupancy,
         llc_misses_of,
-        shadow_misses: (0..=workload_count as OwnerId)
+        shadow_misses: owners
             .map(|owner| {
                 engine
                     .shadow()
@@ -400,5 +411,182 @@ fn carried_op_buffers_preserve_the_stream_across_calls() {
             high > 0 && high - low < high / 10,
             "stream diverged: {low} vs {high} instructions"
         );
+    }
+}
+
+/// A padded burst: a few memory ops, then idle compute padding long enough
+/// that its run crosses the engine's 64-op fetch chunks. `phase` rotates
+/// the burst so ties and non-ties between padded slots both occur; the
+/// zero-cycle compute ops exercise the engine's `cycles.max(1)` rule.
+fn padded_burst(base: u64, phase: usize) -> FixedSequence {
+    let mut ops = vec![
+        Op::Load { addr: base },
+        Op::Store { addr: base + 64 },
+        Op::Load { addr: base + 4096 },
+    ];
+    ops.extend((0..100).map(|i| Op::Compute {
+        cycles: if i % 37 == 5 { 0 } else { 1 },
+    }));
+    ops.rotate_left(phase);
+    FixedSequence::new("padded", ops)
+}
+
+/// Budgets for the compute-run scenario: short and long calls, some ending
+/// mid-chunk, so compute runs stop at the budget as well as at a memory op
+/// or a chunk end.
+const PADDED_BUDGETS: [u64; 6] = [1_000, 777, 192, 5_000, 131, 2_048];
+
+/// The compute-run scenario on a two-socket machine: socket 0 holds three
+/// padded-burst slots (two in phase, so their clocks tie) and a
+/// memory-heavy slot; socket 1 holds a padded slot and a memory-heavy slot,
+/// so the socket-parallel path really splits the call.
+fn run_padded(path: EnginePath, shadow: bool) -> Observed {
+    let config = MachineConfig::scaled_cloud_machine(2, 256);
+    let mut engine = SimEngine::new(Machine::new(config));
+    if shadow {
+        engine.enable_shadow_attribution().unwrap();
+    }
+    let mut workloads: Vec<Box<dyn Workload>> = vec![
+        Box::new(padded_burst(0, 0)),
+        Box::new(padded_burst(1 << 20, 0)),
+        Box::new(padded_burst(2 << 20, 40)),
+        Box::new(LcgWorkload::new(17, 3000, 1.0)),
+        Box::new(padded_burst(3 << 20, 7)),
+        Box::new(LcgWorkload::new(29, 3000, 4.0)),
+    ];
+    let second = engine.machine().config().cores_per_socket;
+    let cores = [0, 1, 2, 3, second, second + 1];
+    let mut pmcs = vec![PmcSet::default(); workloads.len()];
+    let mut reports = Vec::new();
+    for &budget in &PADDED_BUDGETS {
+        let mut slots: Vec<ExecSlot<'_>> = workloads
+            .iter_mut()
+            .zip(cores)
+            .enumerate()
+            .map(|(w, (workload, core))| {
+                ExecSlot::new(CoreId(core), w as OwnerId + 1, workload.as_mut())
+            })
+            .collect();
+        reports.push(match path {
+            EnginePath::Batched => engine.run_slots(&mut slots, budget),
+            EnginePath::Reference => engine.run_slots_reference(&mut slots, budget),
+            EnginePath::Parallel => engine.run_slots_parallel(&mut slots, budget),
+        });
+        for (total, slot) in pmcs.iter_mut().zip(&slots) {
+            *total += slot.pmcs;
+        }
+    }
+    observe(&engine, reports, pmcs)
+}
+
+/// Runs of buffered compute ops execute without yielding to the other
+/// slots, yet the batched and socket-parallel paths stay bit-identical to
+/// the per-op reference: same reports, PMCs, LLC statistics, attribution
+/// and shadow misses, with shadow attribution off and on.
+#[test]
+fn compute_runs_keep_both_batched_paths_bit_identical() {
+    for shadow in [false, true] {
+        let reference = run_padded(EnginePath::Reference, shadow);
+        // The scenario must exercise a compute run ending exactly on the
+        // budget, not only runs cut short by a memory op.
+        let padded_slots = [0, 1, 2, 4];
+        assert!(
+            reference
+                .reports
+                .iter()
+                .zip(PADDED_BUDGETS)
+                .any(|(call, budget)| {
+                    padded_slots
+                        .iter()
+                        .any(|&s| call[s].consumed_cycles == budget)
+                }),
+            "no padded slot ended a call exactly on its budget"
+        );
+        assert_eq!(
+            run_padded(EnginePath::Batched, shadow),
+            reference,
+            "run_slots diverged (shadow {shadow})"
+        );
+        assert_eq!(
+            run_padded(EnginePath::Parallel, shadow),
+            reference,
+            "run_slots_parallel diverged (shadow {shadow})"
+        );
+    }
+}
+
+/// Counts the chunks the engine fetches from the wrapped workload.
+struct CountingFills {
+    inner: FixedSequence,
+    fills: u64,
+}
+
+impl Workload for CountingFills {
+    fn next_op(&mut self) -> Op {
+        self.inner.next_op()
+    }
+
+    fn fill_ops(&mut self, buf: &mut [Op]) -> usize {
+        self.fills += 1;
+        self.inner.fill_ops(buf)
+    }
+
+    fn name(&self) -> &str {
+        "counting-fills"
+    }
+
+    fn working_set_bytes(&self) -> u64 {
+        self.inner.working_set_bytes()
+    }
+}
+
+/// The engine fetches a chunk only to execute its first op, never to look
+/// at the next op: after every call, each slot's fetch count is exactly
+/// ceil(executed ops / 64). Refill timing is observable (an `Interactive`
+/// burst is accounted at fetch time; migration drops prefetched ops), so
+/// running buffered compute ops ahead must not fetch early.
+#[test]
+fn the_engine_fetches_a_chunk_only_to_execute_its_first_op() {
+    for path in [EnginePath::Batched, EnginePath::Parallel] {
+        let mut engine = SimEngine::new(Machine::new(MachineConfig::scaled_cloud_machine(2, 256)));
+        let cores_per_socket = engine.machine().config().cores_per_socket;
+        let mut workloads: Vec<CountingFills> =
+            [(0, 0), (1 << 20, 0), (2 << 20, 40), (3 << 20, 63)]
+                .into_iter()
+                .map(|(base, phase)| CountingFills {
+                    inner: padded_burst(base, phase),
+                    fills: 0,
+                })
+                .collect();
+        let cores = [0, 1, 2, cores_per_socket];
+        let mut executed = [0u64; 4];
+        // Calls after which some slot had drained its last chunk exactly:
+        // the case where fetching to peek would show.
+        let mut drained_at_call_end = 0;
+        for &budget in &PADDED_BUDGETS {
+            let mut slots: Vec<ExecSlot<'_>> = workloads
+                .iter_mut()
+                .zip(cores)
+                .enumerate()
+                .map(|(w, (workload, core))| {
+                    ExecSlot::new(CoreId(core), w as OwnerId + 1, workload)
+                })
+                .collect();
+            let reports = match path {
+                EnginePath::Batched => engine.run_slots(&mut slots, budget),
+                _ => engine.run_slots_parallel(&mut slots, budget),
+            };
+            drop(slots);
+            for ((count, report), workload) in executed.iter_mut().zip(&reports).zip(&workloads) {
+                *count += report.pmc_delta.instructions;
+                assert_eq!(
+                    workload.fills,
+                    count.div_ceil(64),
+                    "{path:?}: {count} executed ops after a {budget}-cycle call"
+                );
+                drained_at_call_end += usize::from(*count % 64 == 0);
+            }
+        }
+        assert!(drained_at_call_end > 0, "no call ended on a chunk boundary");
     }
 }
