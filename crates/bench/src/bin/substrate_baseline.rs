@@ -25,7 +25,7 @@ use kyoto_cluster::snapshot::CellId;
 use kyoto_experiments::cloudscale;
 use kyoto_hypervisor::vm::VmConfig;
 use kyoto_sim::cache::{Cache, CacheConfig};
-use kyoto_sim::engine::{ExecSlot, SimEngine};
+use kyoto_sim::engine::{ExecSlot, OpBuffer, SimEngine};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig};
 use kyoto_sim::workload::Workload;
@@ -143,18 +143,29 @@ fn seed_engine_rate(slots: usize, scale: u64) -> f64 {
     })
 }
 
+/// `slots` gcc-like workloads, each with the op buffer the batched path
+/// fetches its 64-op chunks into.
+fn gcc_streams(slots: usize, scale: u64) -> Vec<(SpecWorkload, OpBuffer)> {
+    (0..slots)
+        .map(|i| {
+            (
+                SpecWorkload::new(SpecApp::Gcc, scale, i as u64),
+                OpBuffer::default(),
+            )
+        })
+        .collect()
+}
+
 fn engine_rate(slots: usize, scale: u64, batched: bool) -> f64 {
     const BUDGET: u64 = 100_000;
     let machine = Machine::new(MachineConfig::scaled_paper_machine(scale));
     let mut engine = SimEngine::new(machine);
-    let mut workloads: Vec<SpecWorkload> = (0..slots)
-        .map(|i| SpecWorkload::new(SpecApp::Gcc, scale, i as u64))
-        .collect();
+    let mut streams = gcc_streams(slots, scale);
     best_rate((BUDGET * slots as u64) as f64, || {
-        let mut slot_refs: Vec<ExecSlot<'_>> = workloads
+        let mut slot_refs: Vec<ExecSlot<'_>> = streams
             .iter_mut()
             .enumerate()
-            .map(|(i, w)| ExecSlot::new(CoreId(i), i as u16 + 1, w))
+            .map(|(i, (w, ops))| ExecSlot::new(CoreId(i), i as u16 + 1, w).with_ops(ops))
             .collect();
         let reports = if batched {
             engine.run_slots(&mut slot_refs, BUDGET)
@@ -179,14 +190,12 @@ fn traced_engine_rate(slots: usize, scale: u64, enabled: bool) -> f64 {
     if enabled {
         engine.trace_mut().enable();
     }
-    let mut workloads: Vec<SpecWorkload> = (0..slots)
-        .map(|i| SpecWorkload::new(SpecApp::Gcc, scale, i as u64))
-        .collect();
+    let mut streams = gcc_streams(slots, scale);
     best_rate((BUDGET * slots as u64) as f64, || {
-        let mut slot_refs: Vec<ExecSlot<'_>> = workloads
+        let mut slot_refs: Vec<ExecSlot<'_>> = streams
             .iter_mut()
             .enumerate()
-            .map(|(i, w)| ExecSlot::new(CoreId(i), i as u16 + 1, w))
+            .map(|(i, (w, ops))| ExecSlot::new(CoreId(i), i as u16 + 1, w).with_ops(ops))
             .collect();
         black_box(engine.run_slots(&mut slot_refs, BUDGET));
         if enabled {
@@ -209,20 +218,21 @@ fn padded_engine_rate(scale: u64) -> f64 {
     let machine = Machine::new(MachineConfig::scaled_paper_machine(scale));
     let mut engine = SimEngine::new(machine);
     let mut gcc = SpecWorkload::new(SpecApp::Gcc, scale, 0);
-    let mut services: Vec<Interactive<SpecWorkload>> = (1..SLOTS)
+    let mut gcc_ops = OpBuffer::default();
+    let mut services: Vec<(Interactive<SpecWorkload>, OpBuffer)> = (1..SLOTS)
         .map(|i| {
             let mut service = Interactive::new(SpecWorkload::new(SpecApp::Gcc, scale, i as u64), 1);
             service.next_op();
-            service
+            (service, OpBuffer::default())
         })
         .collect();
     best_rate((BUDGET * SLOTS as u64) as f64, || {
-        let mut slot_refs = vec![ExecSlot::new(CoreId(0), 1, &mut gcc)];
+        let mut slot_refs = vec![ExecSlot::new(CoreId(0), 1, &mut gcc).with_ops(&mut gcc_ops)];
         slot_refs.extend(
             services
                 .iter_mut()
                 .enumerate()
-                .map(|(i, w)| ExecSlot::new(CoreId(i + 1), i as u16 + 2, w)),
+                .map(|(i, (w, ops))| ExecSlot::new(CoreId(i + 1), i as u16 + 2, w).with_ops(ops)),
         );
         black_box(engine.run_slots(&mut slot_refs, BUDGET));
     })
@@ -239,16 +249,14 @@ fn numa_engine_rate(slots: usize, scale: u64, parallel: bool) -> f64 {
     let machine = Machine::new(MachineConfig::scaled_paper_numa_machine(scale));
     let cores_per_socket = machine.config().cores_per_socket;
     let mut engine = SimEngine::new(machine);
-    let mut workloads: Vec<SpecWorkload> = (0..slots)
-        .map(|i| SpecWorkload::new(SpecApp::Gcc, scale, i as u64))
-        .collect();
+    let mut streams = gcc_streams(slots, scale);
     best_rate((BUDGET * slots as u64) as f64, || {
-        let mut slot_refs: Vec<ExecSlot<'_>> = workloads
+        let mut slot_refs: Vec<ExecSlot<'_>> = streams
             .iter_mut()
             .enumerate()
-            .map(|(i, w)| {
+            .map(|(i, (w, ops))| {
                 let core = (i % 2) * cores_per_socket + i / 2;
-                ExecSlot::new(CoreId(core), i as u16 + 1, w)
+                ExecSlot::new(CoreId(core), i as u16 + 1, w).with_ops(ops)
             })
             .collect();
         let reports = if parallel {
@@ -257,37 +265,6 @@ fn numa_engine_rate(slots: usize, scale: u64, parallel: bool) -> f64 {
             engine.run_slots(&mut slot_refs, BUDGET)
         };
         black_box(reports);
-    })
-}
-
-/// Throughput of the serial path on the two-socket NUMA machine with eight
-/// gcc-like slots (same core mapping as [`numa_engine_rate`]), with either
-/// every slot runnable or every other slot marked [`ExecSlot::blocked`].
-/// Blocked slots are skipped without charging cycles, so the rate — in
-/// nominal cycles over the full slot set, blocked or not — should rise
-/// well past the all-runnable row; `ci/check_bench.sh` gates the ratio
-/// (`blocked_skip_benefit`) so the skip path never silently degrades into
-/// "walk the slot anyway and discard the work".
-fn blocked_engine_rate(scale: u64, half_blocked: bool) -> f64 {
-    const BUDGET: u64 = 100_000;
-    const SLOTS: usize = 8;
-    let machine = Machine::new(MachineConfig::scaled_paper_numa_machine(scale));
-    let cores_per_socket = machine.config().cores_per_socket;
-    let mut engine = SimEngine::new(machine);
-    let mut workloads: Vec<SpecWorkload> = (0..SLOTS)
-        .map(|i| SpecWorkload::new(SpecApp::Gcc, scale, i as u64))
-        .collect();
-    best_rate((BUDGET * SLOTS as u64) as f64, || {
-        let mut slot_refs: Vec<ExecSlot<'_>> = workloads
-            .iter_mut()
-            .enumerate()
-            .map(|(i, w)| {
-                let core = (i % 2) * cores_per_socket + i / 2;
-                ExecSlot::new(CoreId(core), i as u16 + 1, w)
-                    .with_blocked(half_blocked && i % 2 == 1)
-            })
-            .collect();
-        black_box(engine.run_slots(&mut slot_refs, BUDGET));
     })
 }
 
@@ -302,16 +279,14 @@ fn cloud_engine_rate(sockets: usize, scale: u64, parallel: bool) -> f64 {
     let machine = Machine::new(MachineConfig::scaled_cloud_machine(sockets, scale));
     let cores_per_socket = machine.config().cores_per_socket;
     let mut engine = SimEngine::new(machine);
-    let mut workloads: Vec<SpecWorkload> = (0..slots)
-        .map(|i| SpecWorkload::new(SpecApp::Gcc, scale, i as u64))
-        .collect();
+    let mut streams = gcc_streams(slots, scale);
     best_rate((BUDGET * slots as u64) as f64, || {
-        let mut slot_refs: Vec<ExecSlot<'_>> = workloads
+        let mut slot_refs: Vec<ExecSlot<'_>> = streams
             .iter_mut()
             .enumerate()
-            .map(|(i, w)| {
+            .map(|(i, (w, ops))| {
                 let core = (i % sockets) * cores_per_socket + i / sockets;
-                ExecSlot::new(CoreId(core), i as u16 + 1, w)
+                ExecSlot::new(CoreId(core), i as u16 + 1, w).with_ops(ops)
             })
             .collect();
         let reports = if parallel {
@@ -493,25 +468,6 @@ fn main() {
             value: on / 1e6,
         });
         (off / untraced_4slots, off / on)
-    };
-
-    // Blocked-slot skip benefit: eight slots with half of them parked must
-    // finish the same nominal cycle budget measurably faster than the
-    // all-runnable run, because the engine never walks a blocked slot.
-    let blocked_skip_benefit = {
-        let all_runnable = blocked_engine_rate(config.scale, false);
-        let half_blocked = blocked_engine_rate(config.scale, true);
-        samples.push(Sample {
-            name: "run_slots_all_runnable_8slots",
-            unit: "Msimcycles/s",
-            value: all_runnable / 1e6,
-        });
-        samples.push(Sample {
-            name: "run_slots_half_blocked_8slots",
-            unit: "Msimcycles/s",
-            value: half_blocked / 1e6,
-        });
-        half_blocked / all_runnable
     };
 
     // Socket-parallel engine on the two-socket machine: slots split evenly
@@ -726,12 +682,6 @@ fn main() {
     json.push_str("  \"trace_overhead\": {\n");
     let _ = writeln!(json, "    \"off_vs_untraced\": {trace_off_vs_untraced:.2},");
     let _ = writeln!(json, "    \"off_vs_on\": {trace_off_vs_on:.2}");
-    json.push_str("  },\n");
-    json.push_str("  \"blocked_skip_benefit\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"half_blocked_vs_all_runnable\": {blocked_skip_benefit:.2}"
-    );
     json.push_str("  },\n");
     json.push_str("  \"fleet_churn_parallel_vs_serial\": {\n");
     for (i, (cells, speedup)) in churn_speedups.iter().enumerate() {

@@ -9,7 +9,7 @@
 use crate::lifecycle::VcpuState;
 use crate::scheduler::{Scheduler, TickReport};
 use crate::vm::{VcpuId, VmConfig, VmId, VmReport};
-use kyoto_sim::engine::{ExecSlot, SimEngine};
+use kyoto_sim::engine::{ExecSlot, OpBuffer, SimEngine};
 use kyoto_sim::pmc::{PmcSet, VirtualPmu};
 use kyoto_sim::topology::{CoreId, Machine};
 use kyoto_sim::workload::Workload;
@@ -181,6 +181,9 @@ pub struct TickSample {
 struct VcpuRuntime {
     id: VcpuId,
     workload: Box<dyn Workload>,
+    /// The workload's prefetched ops: the stream resumes from here on
+    /// whichever core the vCPU runs next, however long it was off-core.
+    ops: OpBuffer,
     pmcs: PmcSet,
     cycles_run: u64,
     ticks_scheduled: u64,
@@ -198,6 +201,7 @@ impl VcpuRuntime {
         Ok(VcpuRuntime {
             id: self.id,
             workload,
+            ops: self.ops.clone(),
             pmcs: self.pmcs,
             cycles_run: self.cycles_run,
             ticks_scheduled: self.ticks_scheduled,
@@ -388,6 +392,7 @@ impl<S: Scheduler> Hypervisor<S> {
             vcpus.push(VcpuRuntime {
                 id: vcpu_id,
                 workload,
+                ops: OpBuffer::default(),
                 pmcs: PmcSet::default(),
                 cycles_run: 0,
                 ticks_scheduled: 0,
@@ -437,7 +442,9 @@ impl<S: Scheduler> Hypervisor<S> {
     /// re-adds the returned config and workloads to another hypervisor, where
     /// the VM arrives with a *cold* cache (its lines were flushed here and
     /// nothing travels with it), so the post-migration warm-up penalty
-    /// emerges from the simulation itself.
+    /// emerges from the simulation itself. Each vCPU's [`OpBuffer`] is
+    /// dropped too: ops fetched but not yet executed are lost, and the
+    /// workload resumes after them.
     ///
     /// # Errors
     ///
@@ -453,7 +460,6 @@ impl<S: Scheduler> Hypervisor<S> {
         for vcpu in runtime.vcpus {
             self.scheduler.remove_vcpu(vcpu.id);
             self.pmu.unregister(vcpu.id.as_key());
-            self.engine.clear_op_buffer(vcpu.id.as_key());
             vcpu_states.push(vcpu.state);
             workloads.push(vcpu.workload);
         }
@@ -655,11 +661,8 @@ impl<S: Scheduler> Hypervisor<S> {
                 if let Some((core, _)) = assignment.iter().find(|(_, v)| *v == vcpu.id) {
                     vcpu.state = VcpuState::Running;
                     let overrides = scheduler.overrides(vcpu.id);
-                    // The vCPU key identifies the op stream across ticks so
-                    // the engine's batched op buffers follow the vCPU even
-                    // when it migrates between cores.
                     let mut slot = ExecSlot::new(*core, vm_id.0, vcpu.workload.as_mut())
-                        .with_tag(vcpu.id.as_key())
+                        .with_ops(&mut vcpu.ops)
                         .with_force_remote(overrides.force_remote);
                     if let Some(node) = numa_node {
                         slot = slot.with_data_node(node);

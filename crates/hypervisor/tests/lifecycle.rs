@@ -25,10 +25,12 @@ use kyoto_hypervisor::lifecycle::{VcpuState, WakeSource};
 use kyoto_hypervisor::vm::{VcpuId, VmConfig, VmId};
 use kyoto_hypervisor::xen_hypervisor;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig};
-use kyoto_sim::workload::{ComputeOnly, Workload};
+use kyoto_sim::workload::{ComputeOnly, Op, Workload};
 use kyoto_workloads::interactive::Interactive;
 use kyoto_workloads::synthetic::Streaming;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const SCALE: u64 = 256;
 
@@ -397,5 +399,84 @@ fn cfs_vruntime_freezes_while_a_vcpu_is_blocked() {
     assert!(
         hv.scheduler().vruntime(busy) > busy_start,
         "the busy vCPU's vruntime does advance (sanity)"
+    );
+}
+
+/// Counts the ops a workload generates, through a handle that outlives the
+/// hypervisor owning the workload.
+#[derive(Clone)]
+struct CountingOps<W> {
+    inner: W,
+    generated: Arc<AtomicU64>,
+}
+
+impl<W: Workload + Clone + 'static> Workload for CountingOps<W> {
+    fn next_op(&mut self) -> Op {
+        self.generated.fetch_add(1, Ordering::Relaxed);
+        self.inner.next_op()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn working_set_bytes(&self) -> u64 {
+        self.inner.working_set_bytes()
+    }
+
+    fn wants_block(&self) -> bool {
+        self.inner.wants_block()
+    }
+
+    fn on_wake(&mut self) {
+        self.inner.on_wake()
+    }
+}
+
+/// Regression: a vCPU's prefetched ops survive however long it sleeps. A
+/// WFI service pinned to core 0 wakes on a 2000-tick timer, and an
+/// always-runnable co-runner on core 1 keeps the engine busy every tick in
+/// between. The sleeper's op stream must not notice the co-runner: it
+/// generates and executes exactly the ops it does alone.
+#[test]
+fn a_long_sleep_loses_no_prefetched_ops() {
+    const PERIOD: u64 = 2_000;
+    let run = |co_runner: bool| {
+        let mut hv = xen_hypervisor(machine(), HypervisorConfig::default());
+        let generated = Arc::new(AtomicU64::new(0));
+        // Two-cycle burst ops leave most of a chunk unexecuted at the end of
+        // each wake's tick, so a dropped remainder shows up as extra
+        // generated chunks within six sleeps.
+        let sleeper = CountingOps {
+            inner: Interactive::new(ComputeOnly::new(2), 48),
+            generated: Arc::clone(&generated),
+        };
+        let config = VmConfig::new("sleeper")
+            .pinned_to(vec![CoreId(0)])
+            .with_wake_source(WakeSource::new(7).with_timer_period(PERIOD));
+        let vm = hv.add_vm_with(config, Box::new(sleeper)).unwrap();
+        if co_runner {
+            // Long compute ops keep the always-runnable VM cheap to simulate.
+            let busy = VmConfig::new("busy").pinned_to(vec![CoreId(1)]);
+            hv.add_vm_with(busy, Box::new(ComputeOnly::new(1_000)))
+                .unwrap();
+        }
+        hv.run_ticks(6 * PERIOD + 1);
+        let report = hv.report(vm).unwrap();
+        assert_eq!(
+            report.ticks_scheduled, 7,
+            "the sleeper runs once up front and once per timer fire"
+        );
+        (generated.load(Ordering::Relaxed), report.pmcs.instructions)
+    };
+    let (shared_generated, shared_executed) = run(true);
+    let (alone_generated, alone_executed) = run(false);
+    assert_eq!(
+        shared_generated, alone_generated,
+        "ops generated with and without the co-runner"
+    );
+    assert_eq!(
+        shared_executed, alone_executed,
+        "ops executed with and without the co-runner"
     );
 }

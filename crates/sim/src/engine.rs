@@ -13,12 +13,12 @@
 //!   find the LLC state left behind by the previous occupant.
 //!
 //! The default [`SimEngine::run_slots`] path batches op fetching through
-//! [`Workload::fill_ops`] and advances slots in epochs (run the
-//! furthest-behind slot until it catches up with the next one) instead of
-//! re-scanning every slot per op. The interleaving it produces is
-//! bit-identical to the per-op [`SimEngine::run_slots_reference`] path,
-//! which is kept as the semantic baseline for equivalence tests and
-//! benchmarks.
+//! [`Workload::fill_ops`] into each stream owner's [`OpBuffer`] and advances
+//! slots in epochs (run the furthest-behind slot until it catches up with
+//! the next one) instead of re-scanning every slot per op. The interleaving
+//! it produces is bit-identical to the per-op
+//! [`SimEngine::run_slots_reference`] path, which is kept as the semantic
+//! baseline for equivalence tests and benchmarks.
 
 use crate::cache::OwnerId;
 use crate::error::SimError;
@@ -32,19 +32,10 @@ use kyoto_trace::TraceSink;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// Ops fetched from a workload per `fill_ops` batch: large enough to
-/// amortise the dynamic dispatch, small enough that carried-over ops stay
-/// negligible in memory.
+/// Ops fetched from a workload per `fill_ops` call into a slot's
+/// [`OpBuffer`]: large enough to amortise the dynamic dispatch, small enough
+/// that a buffered remainder stays negligible in memory.
 const OP_CHUNK: usize = 64;
-
-/// Calls a carried op buffer may sit unused before the stale sweep drops it.
-/// Large enough that any legitimately descheduled stream (alternative
-/// execution, long Kyoto punishments) survives, small enough that abandoned
-/// tags cannot accumulate without bound.
-const CARRY_STALE_AFTER: u64 = 1024;
-
-/// How often (in batched `run_slots*` calls) the stale-carry sweep runs.
-const CARRY_PRUNE_INTERVAL: u64 = 256;
 
 /// An execution binding: a workload running on behalf of `owner` on `core`.
 pub struct ExecSlot<'a> {
@@ -60,28 +51,9 @@ pub struct ExecSlot<'a> {
     /// placement. Used to model a vCPU migrated away from its memory by the
     /// socket-dedication pollution monitor (Fig. 9).
     pub force_remote: bool,
-    /// Stable identity of the workload stream behind this slot, used to key
-    /// the engine's batched op buffers across [`SimEngine::run_slots`]
-    /// calls. Slots rebuilt every call (as the hypervisor does per tick)
-    /// must reuse the same tag for the same workload so its op stream
-    /// continues seamlessly; tags must be unique within one call.
-    ///
-    /// Defaults to a value derived from `(owner, core)`, which is correct
-    /// as long as a given workload always runs under the same owner/core
-    /// pair. **Migration pitfall:** the default tag changes when the same
-    /// workload is rebound to a different core, so the ops prefetched under
-    /// the old tag are orphaned — the stream silently skips up to one chunk
-    /// and the abandoned buffer lingers until the engine's stale sweep
-    /// prunes it. Callers that migrate streams between cores must supply a
-    /// core-independent tag via [`ExecSlot::with_tag`]; the hypervisor uses
-    /// the vCPU key.
-    pub tag: u64,
-    /// A blocked (sleeping) vCPU slot: the engine executes nothing for it
-    /// and charges zero cycles, but keeps the ops already prefetched under
-    /// its tag parked so the stream resumes exactly where it stopped when
-    /// the slot wakes. The hypervisor passes its Blocked vCPUs this way so
-    /// per-core schedules keep their shape while idle slots stay free.
-    pub blocked: bool,
+    /// The workload's op buffer, owned by whoever owns the stream (see
+    /// [`ExecSlot::with_ops`]); `None` fetches one op at a time.
+    ops: Option<&'a mut OpBuffer>,
     /// Cumulative counters across every call this slot participated in.
     pub pmcs: PmcSet,
 }
@@ -94,32 +66,38 @@ impl std::fmt::Debug for ExecSlot<'_> {
             .field("workload", &self.workload.name())
             .field("data_node", &self.data_node)
             .field("force_remote", &self.force_remote)
-            .field("tag", &self.tag)
-            .field("blocked", &self.blocked)
+            .field("ops", &self.ops)
             .field("pmcs", &self.pmcs)
             .finish()
     }
 }
 
 impl<'a> ExecSlot<'a> {
-    /// Creates a slot with data local to the core's socket and no forced
-    /// remote accesses.
+    /// Creates an unbuffered slot with data local to the core's socket and
+    /// no forced remote accesses.
     pub fn new(core: CoreId, owner: OwnerId, workload: &'a mut dyn Workload) -> Self {
         ExecSlot {
-            tag: (u64::from(owner) << 32) | (core.0 as u64 & 0xffff_ffff),
             core,
             owner,
             workload,
             data_node: NumaNode(usize::MAX), // resolved lazily to the core's node
             force_remote: false,
-            blocked: false,
+            ops: None,
             pmcs: PmcSet::default(),
         }
     }
 
-    /// Overrides the op-stream identity tag (see [`ExecSlot::tag`]).
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = tag;
+    /// Batches the workload's op fetching through `ops`: the slot fetches
+    /// 64 ops at a time into the buffer and leaves the unexecuted remainder
+    /// there, so the next call given the same buffer continues the stream
+    /// exactly where this one stopped — on any core, after any time
+    /// off-core. Pair one buffer with one workload for the stream's whole
+    /// life; dropping the buffer drops the prefetched ops.
+    ///
+    /// Without a buffer the slot fetches only the op it is about to
+    /// execute, so no op is ever fetched and then lost.
+    pub fn with_ops(mut self, ops: &'a mut OpBuffer) -> Self {
+        self.ops = Some(ops);
         self
     }
 
@@ -132,12 +110,6 @@ impl<'a> ExecSlot<'a> {
     /// Forces LLC misses to pay the remote-memory latency.
     pub fn with_force_remote(mut self, force: bool) -> Self {
         self.force_remote = force;
-        self
-    }
-
-    /// Marks the slot blocked (see [`ExecSlot::blocked`]).
-    pub fn with_blocked(mut self, blocked: bool) -> Self {
-        self.blocked = blocked;
         self
     }
 }
@@ -161,30 +133,33 @@ impl QuantumReport {
     }
 }
 
-/// A batched op stream: ops prefetched from a workload in [`OP_CHUNK`]
-/// blocks, consumed one at a time. Unconsumed ops survive in the engine's
-/// carry map so the stream continues exactly where it stopped on the next
-/// call — batching is invisible to the simulation semantics.
+/// A workload's op stream as the engine fetched it: ops prefetched in
+/// chunks, consumed one at a time. Opaque; the owner of the stream keeps
+/// it between calls and lends it to each slot with [`ExecSlot::with_ops`],
+/// so batching is invisible to the simulation semantics. `Clone` copies the
+/// prefetched ops, so a cloned owner continues bit-identically.
 #[derive(Debug, Default, Clone)]
-struct OpQueue {
+pub struct OpBuffer {
     buf: Vec<Op>,
     head: usize,
 }
 
-impl OpQueue {
+impl OpBuffer {
+    /// The next op of the stream, fetching a chunk of `chunk` ops from
+    /// `workload` only when the buffer is drained.
     #[inline]
-    fn next(&mut self, workload: &mut dyn Workload) -> Op {
+    fn next(&mut self, workload: &mut dyn Workload, chunk: usize) -> Op {
         if self.head == self.buf.len() {
-            self.refill(workload);
+            self.refill(workload, chunk);
         }
         let op = self.buf[self.head];
         self.head += 1;
         op
     }
 
-    fn refill(&mut self, workload: &mut dyn Workload) {
+    fn refill(&mut self, workload: &mut dyn Workload, chunk: usize) {
         self.buf.clear();
-        self.buf.resize(OP_CHUNK, Op::Compute { cycles: 1 });
+        self.buf.resize(chunk, Op::Compute { cycles: 1 });
         self.head = 0;
         let filled = workload.fill_ops(&mut self.buf);
         self.buf.truncate(filled);
@@ -194,14 +169,10 @@ impl OpQueue {
         }
     }
 
-    fn is_drained(&self) -> bool {
-        self.head == self.buf.len()
-    }
-
     /// Executes the run of already-buffered [`Op::Compute`] ops at the head
-    /// of the queue, with the same cost as [`execute_op`]. Stops at the
+    /// of the buffer, with the same cost as [`execute_op`]. Stops at the
     /// cycle budget, at the first memory op or at the end of the buffer —
-    /// never refills, so fetch timing stays that of [`OpQueue::next`].
+    /// never refills, so fetch timing stays that of [`OpBuffer::next`].
     #[inline]
     fn run_buffered_compute(&mut self, report: &mut QuantumReport, cycle_budget: u64) {
         let start = report.consumed_cycles;
@@ -354,13 +325,11 @@ fn execute_op<M: AccessMem>(
     }
 }
 
-/// One batched call's runnable slots with their per-slot operands, as
-/// parallel arrays in slot order: the input and output of
-/// [`run_epoch_interleaving`].
+/// One batched call's slots with their per-slot operands, as parallel
+/// arrays in slot order: the input and output of [`run_epoch_interleaving`].
 #[derive(Default)]
 struct Batch<'s, 'wl> {
     slots: Vec<&'s mut ExecSlot<'wl>>,
-    queues: Vec<OpQueue>,
     routes: Vec<AccessRoute>,
     mlps: Vec<f64>,
     reports: Vec<QuantumReport>,
@@ -375,9 +344,14 @@ struct Batch<'s, 'wl> {
 /// linear scan would pick — and runs it op by op until it would no longer be
 /// the scheduling minimum (or its budget is spent), then requeues it.
 ///
+/// A slot with an [`OpBuffer`] fetches [`OP_CHUNK`] ops at a time into it;
+/// an unbuffered slot fetches one op at a time into a scratch buffer that
+/// is drained again before the slot yields. Otherwise the two share this
+/// loop.
+///
 /// A slot yields only before an op that touches shared state. After each
-/// executed op the already-buffered run of [`Op::Compute`] at its queue head
-/// executes in one tight loop ([`OpQueue::run_buffered_compute`]), so a
+/// executed op the already-buffered run of [`Op::Compute`] at its buffer head
+/// executes in one tight loop ([`OpBuffer::run_buffered_compute`]), so a
 /// slot goes back on the heap only when it is past the scheduling limit and
 /// its next op is not a buffered compute op. This is bit-identical by
 /// construction: compute ops touch no cache, no shadow attribution and no
@@ -394,28 +368,35 @@ fn run_epoch_interleaving<M: AccessMem>(
 ) {
     let Batch {
         slots,
-        queues,
         routes,
         mlps,
         reports,
     } = batch;
     let n = slots.len();
+    let mut unbuffered = OpBuffer::default();
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n).map(|i| Reverse((0u64, i))).collect();
     while let Some(Reverse((_, i))) = heap.pop() {
         let (limit_cycles, limit_index) = match heap.peek() {
             Some(Reverse((cycles, index))) => (*cycles, *index),
             None => (cycle_budget, usize::MAX),
         };
-        let slot = &mut *slots[i];
-        let queue = &mut queues[i];
+        let ExecSlot {
+            owner,
+            workload,
+            ops,
+            ..
+        } = &mut *slots[i];
+        let (buffer, chunk) = match ops.as_deref_mut() {
+            Some(buffer) => (buffer, OP_CHUNK),
+            None => (&mut unbuffered, 1),
+        };
         let report = &mut reports[i];
         let route = routes[i];
         let mlp = mlps[i];
-        let owner = slot.owner;
         loop {
-            let op = queue.next(&mut *slot.workload);
-            execute_op(machine, shadow, route, owner, mlp, op, report);
-            queue.run_buffered_compute(report, cycle_budget);
+            let op = buffer.next(&mut **workload, chunk);
+            execute_op(machine, shadow, route, *owner, mlp, op, report);
+            buffer.run_buffered_compute(report, cycle_budget);
             let consumed = report.consumed_cycles;
             if consumed >= cycle_budget {
                 break;
@@ -428,32 +409,18 @@ fn run_epoch_interleaving<M: AccessMem>(
     }
 }
 
-/// A carried op buffer plus the call number that last touched it, so the
-/// stale sweep can prune buffers whose tag never reappears.
-#[derive(Debug, Clone)]
-struct CarriedOps {
-    queue: OpQueue,
-    last_used: u64,
-}
-
 /// The time-stepped simulation engine.
 ///
 /// `Clone` deep-copies the whole machine state (cache hierarchies, shadow
-/// replay, carried op buffers), which is what fleet checkpointing relies on:
-/// a cloned engine continues bit-identically to the original.
+/// replay, trace), which is what fleet checkpointing relies on: a cloned
+/// engine continues bit-identically to the original. The engine keeps no
+/// per-stream state: prefetched ops live in each stream owner's
+/// [`OpBuffer`], which the owner clones alongside.
 #[derive(Debug, Clone)]
 pub struct SimEngine {
     machine: Machine,
     shadow: Option<ShadowAttribution>,
     elapsed_cycles: u64,
-    /// Batched-but-unexecuted ops per slot tag, carried across
-    /// [`SimEngine::run_slots`] calls so op streams continue seamlessly.
-    /// Entries whose tag stays absent for [`CARRY_STALE_AFTER`] calls are
-    /// pruned (see [`ExecSlot::tag`] for how stale tags arise).
-    op_carry: HashMap<u64, CarriedOps>,
-    /// Number of batched (`run_slots` / `run_slots_parallel`) calls so far;
-    /// the logical clock of the carry map's staleness accounting.
-    run_calls: u64,
     /// Worker threads the most recent [`SimEngine::run_slots_parallel`] call
     /// spawned (0 when it fell back to the serial path). Diagnostics only —
     /// lets tests pin which batches actually parallelise.
@@ -471,8 +438,6 @@ impl SimEngine {
             machine,
             shadow: None,
             elapsed_cycles: 0,
-            op_carry: HashMap::new(),
-            run_calls: 0,
             last_parallel_groups: 0,
             trace: TraceSink::default(),
         }
@@ -500,43 +465,6 @@ impl SimEngine {
     /// shadow-attributed owners).
     pub fn parallel_groups_last_call(&self) -> usize {
         self.last_parallel_groups
-    }
-
-    /// Discards batched-but-unexecuted ops fetched for `tag`. Call when the
-    /// entity behind the tag disappears (VM destroyed) or its workload is
-    /// replaced or reset, so a future reuse of the tag starts clean.
-    pub fn clear_op_buffer(&mut self, tag: u64) {
-        self.op_carry.remove(&tag);
-    }
-
-    /// Discards every batched op buffer (see [`SimEngine::clear_op_buffer`]).
-    pub fn clear_op_buffers(&mut self) {
-        self.op_carry.clear();
-    }
-
-    /// Number of batched op buffers currently carried across calls
-    /// (diagnostics; lets tests observe the stale sweep).
-    pub fn carried_op_buffers(&self) -> usize {
-        self.op_carry.len()
-    }
-
-    /// Drops carried op buffers whose tag has not been seen for
-    /// [`CARRY_STALE_AFTER`] calls: their stream was migrated under a
-    /// different default tag or abandoned outright, and nothing will ever
-    /// consume them.
-    #[cold]
-    fn prune_stale_carries(&mut self) {
-        let cutoff = self.run_calls.saturating_sub(CARRY_STALE_AFTER);
-        self.op_carry
-            .retain(|_, carried| carried.last_used >= cutoff);
-    }
-
-    /// Bumps the batched-call clock and runs the periodic stale sweep.
-    fn begin_batched_call(&mut self) {
-        self.run_calls += 1;
-        if self.run_calls.is_multiple_of(CARRY_PRUNE_INTERVAL) {
-            self.prune_stale_carries();
-        }
     }
 
     /// Enables simulator-based pollution attribution (the McSimA+ stand-in):
@@ -599,8 +527,9 @@ impl SimEngine {
     ///
     /// The interleaving is epoch-based: the slot that is furthest behind in
     /// cycle time (ties broken by slot index) executes ops until it catches
-    /// up with the next slot, with ops pulled from batched per-slot buffers
-    /// ([`Workload::fill_ops`]). The resulting global op order — and
+    /// up with the next slot, with ops pulled through [`Workload::fill_ops`]
+    /// into each slot's [`OpBuffer`] (see [`ExecSlot::with_ops`]) or one at
+    /// a time for an unbuffered slot. The resulting global op order — and
     /// therefore every cache state, counter and pollution attribution — is
     /// bit-identical to advancing one op at a time as
     /// [`SimEngine::run_slots_reference`] does, which a property test
@@ -608,19 +537,13 @@ impl SimEngine {
     ///
     /// A slot yields to the others only before an op that touches shared
     /// state: after every executed op, the run of [`Op::Compute`] already
-    /// buffered at the head of its queue executes in one tight loop, up to
+    /// buffered at the head of its buffer executes in one tight loop, up to
     /// the budget, the first load or store, or the end of the fetched chunk.
     /// Compute ops move only the slot's own clock, so running them early
     /// leaves the global order of memory ops — sorted by (start cycle, slot
     /// index) — unchanged. The loop never fetches ahead: a chunk is fetched
     /// only to execute its first op, so refill timing (which workloads such
     /// as `Interactive` and VM migration observe) is unchanged too.
-    ///
-    /// Slots marked [`ExecSlot::blocked`] are skipped entirely: they
-    /// execute no ops, consume zero cycles, report all-zero deltas, and
-    /// their prefetched op buffers stay parked under their tag for the
-    /// wake-up call. The runnable slots behave bit-identically to a call
-    /// made without the blocked slots present.
     ///
     /// # Panics
     ///
@@ -652,7 +575,7 @@ impl SimEngine {
     /// order, after the workers finish.
     ///
     /// Runs serially on the calling thread when fewer than two sockets have
-    /// runnable slots (nothing to parallelise). When shadow attribution is
+    /// slots (nothing to parallelise). When shadow attribution is
     /// enabled and an owner has slots on several sockets *in the current
     /// batch* (its single shadow cache cannot be driven from two threads
     /// deterministically), only the sockets coupled by such owners share a
@@ -661,11 +584,6 @@ impl SimEngine {
     /// does the whole call run serially. Owners that spanned sockets in
     /// *earlier* calls, or that merely have shadow state but no slot in this
     /// batch, never affect the decision.
-    ///
-    /// [`ExecSlot::blocked`] slots are skipped exactly as in the serial
-    /// path — they populate no socket group, couple no sockets, execute
-    /// nothing and keep their carried ops parked — so the two paths stay
-    /// bit-identical under blocking too.
     ///
     /// # Panics
     ///
@@ -681,7 +599,7 @@ impl SimEngine {
 
     /// The one batched call body behind [`SimEngine::run_slots`] and
     /// [`SimEngine::run_slots_parallel`]: they differ only in whether the
-    /// runnable slots may be split into socket components.
+    /// slots may be split into socket components.
     fn run_batched(
         &mut self,
         slots: &mut [ExecSlot<'_>],
@@ -692,59 +610,28 @@ impl SimEngine {
         if parallel {
             self.last_parallel_groups = 0;
         }
-        let mut reports = vec![QuantumReport::default(); n];
         if n == 0 || cycle_budget == 0 {
-            return reports;
+            return vec![QuantumReport::default(); n];
         }
         let trace_start = self.elapsed_cycles;
         self.resolve_data_nodes(slots);
-        debug_assert!(
-            {
-                let mut tags: Vec<u64> = slots.iter().map(|s| s.tag).collect();
-                tags.sort_unstable();
-                tags.windows(2).all(|w| w[0] != w[1])
-            },
-            "slot tags must be unique within one batched call"
-        );
-        self.begin_batched_call();
-        self.refresh_blocked_carries(slots);
-
-        // Blocked slots execute nothing and charge nothing: the active
-        // (runnable) slots run exactly the interleaving they would run in a
-        // call without the blocked slots, and the blocked slots keep their
-        // all-zero default reports. The mapping from active position to
-        // original index is monotone, so the epoch tie-break (local array
-        // index) preserves relative order — bit-identity discipline holds.
-        let active: Vec<usize> = (0..n).filter(|&i| !slots[i].blocked).collect();
         let mut batch = Batch {
-            // Pick the op streams up exactly where the previous call left
-            // them.
-            queues: active
-                .iter()
-                .map(|&i| {
-                    self.op_carry
-                        .remove(&slots[i].tag)
-                        .map(|carried| carried.queue)
-                        .unwrap_or_default()
-                })
-                .collect(),
             // Memory-level parallelism and the access route are static per
             // slot; hoist both out of the per-op loop.
-            mlps: active
+            mlps: slots
                 .iter()
-                .map(|&i| slots[i].workload.mem_parallelism().max(1.0))
+                .map(|slot| slot.workload.mem_parallelism().max(1.0))
                 .collect(),
-            routes: active
+            routes: slots
                 .iter()
-                .map(|&i| {
-                    let slot = &slots[i];
+                .map(|slot| {
                     self.machine
                         .route(slot.core, slot.data_node, slot.force_remote)
                         .expect("slot references an unknown core")
                 })
                 .collect(),
-            reports: vec![QuantumReport::default(); active.len()],
-            slots: slots.iter_mut().filter(|slot| !slot.blocked).collect(),
+            reports: vec![QuantumReport::default(); n],
+            slots: slots.iter_mut().collect(),
         };
 
         let components = parallel.then(|| self.socket_components(&batch)).flatten();
@@ -759,32 +646,10 @@ impl SimEngine {
             );
         }
 
-        // Scatter the active results back to original slot order; blocked
-        // positions keep default reports and default (drained) queues, so
-        // `finish_batched_call` leaves their carried ops untouched.
-        let mut queues: Vec<OpQueue> = Vec::with_capacity(n);
-        queues.resize_with(n, OpQueue::default);
-        for ((&i, report), queue) in active.iter().zip(batch.reports).zip(batch.queues) {
-            reports[i] = report;
-            queues[i] = queue;
-        }
-
-        self.finish_batched_call(slots, queues, &reports);
+        let reports = batch.reports;
+        self.finish_batched_call(slots, &reports);
         self.record_batch_trace(trace_start, &reports);
         reports
-    }
-
-    /// Keeps the carried op buffers of blocked slots alive: they are not
-    /// consumed this call, but the stream is merely sleeping, not abandoned
-    /// — without the refresh a long block would trip the stale-carry sweep
-    /// and silently restart the stream on wake.
-    fn refresh_blocked_carries(&mut self, slots: &[ExecSlot<'_>]) {
-        let run_calls = self.run_calls;
-        for slot in slots.iter().filter(|slot| slot.blocked) {
-            if let Some(carried) = self.op_carry.get_mut(&slot.tag) {
-                carried.last_used = run_calls;
-            }
-        }
     }
 
     /// Records one batched call into the trace sink: the `engine.run_slots`
@@ -813,27 +678,11 @@ impl SimEngine {
     }
 
     /// Folds a call's counter deltas into the slots' cumulative PMCs (done
-    /// once per call instead of once per op), preserves
-    /// fetched-but-unexecuted ops for the next call on each tag, and
-    /// advances the logical clock by the busiest slot's consumed cycles.
-    fn finish_batched_call(
-        &mut self,
-        slots: &mut [ExecSlot<'_>],
-        queues: Vec<OpQueue>,
-        reports: &[QuantumReport],
-    ) {
-        let run_calls = self.run_calls;
-        for ((slot, queue), report) in slots.iter_mut().zip(queues).zip(reports) {
+    /// once per call instead of once per op) and advances the logical clock
+    /// by the busiest slot's consumed cycles.
+    fn finish_batched_call(&mut self, slots: &mut [ExecSlot<'_>], reports: &[QuantumReport]) {
+        for (slot, report) in slots.iter_mut().zip(reports) {
             slot.pmcs += report.pmc_delta;
-            if !queue.is_drained() {
-                self.op_carry.insert(
-                    slot.tag,
-                    CarriedOps {
-                        queue,
-                        last_used: run_calls,
-                    },
-                );
-            }
         }
         self.elapsed_cycles += reports
             .iter()
@@ -905,7 +754,7 @@ impl SimEngine {
         reports
     }
 
-    /// The execution components of a parallel call's runnable slots, as
+    /// The execution components of a parallel call's slots, as
     /// `(count, component of each socket)`: normally one component per
     /// populated socket. With shadow attribution on, sockets sharing an
     /// owner in this batch must run on the same worker (one shadow cache per
@@ -966,7 +815,7 @@ impl SimEngine {
 
     /// Splits `batch` into `count` (at least two) components, runs each on
     /// its own [`fan_out`] worker against the split-borrowed views of its
-    /// member sockets, then scatters reports and queues back into `batch`
+    /// member sockets, then scatters reports back into `batch`
     /// and reabsorbs the shadow partitions in component order.
     fn run_components(
         &mut self,
@@ -996,11 +845,9 @@ impl SimEngine {
         for (position, slot) in std::mem::take(&mut batch.slots).into_iter().enumerate() {
             let route = batch.routes[position];
             let c = component_of_socket[route.socket_index()].expect("populated socket");
-            let queue = std::mem::take(&mut batch.queues[position]);
             let part = &mut parts[c];
             part.positions.push(position);
             part.batch.slots.push(slot);
-            part.batch.queues.push(queue);
             part.batch.routes.push(route);
             part.batch.mlps.push(batch.mlps[position]);
             part.batch.reports.push(QuantumReport::default());
@@ -1029,14 +876,8 @@ impl SimEngine {
         });
 
         for part in finished {
-            for ((position, report), queue) in part
-                .positions
-                .into_iter()
-                .zip(part.batch.reports)
-                .zip(part.batch.queues)
-            {
+            for (position, report) in part.positions.into_iter().zip(part.batch.reports) {
                 batch.reports[position] = report;
-                batch.queues[position] = queue;
             }
             if let (Some(shadow), Some(partition)) = (self.shadow.as_mut(), part.shadow) {
                 shadow.merge(partition);
@@ -1320,51 +1161,6 @@ mod tests {
         assert!(pmcs.ilc_misses <= pmcs.memory_accesses);
     }
 
-    #[test]
-    fn stale_op_carries_are_pruned() {
-        let mut e = engine();
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut abandoned = FixedSequence::new("abandoned", ops.clone());
-        let mut slot = ExecSlot::new(CoreId(0), 1, &mut abandoned).with_tag(7);
-        e.run_slots(std::slice::from_mut(&mut slot), 1_000);
-        assert_eq!(e.carried_op_buffers(), 1, "tag 7 carries unexecuted ops");
-        // Tag 7 never reappears; a live stream keeps running under tag 8.
-        let mut live = FixedSequence::new("live", ops);
-        for _ in 0..(CARRY_STALE_AFTER + CARRY_PRUNE_INTERVAL + 1) {
-            let mut slot = ExecSlot::new(CoreId(1), 2, &mut live).with_tag(8);
-            e.run_slots(std::slice::from_mut(&mut slot), 500);
-        }
-        assert_eq!(
-            e.carried_op_buffers(),
-            1,
-            "the abandoned tag must be pruned while the live tag survives"
-        );
-        // The live stream still continues: running again works.
-        let mut slot = ExecSlot::new(CoreId(1), 2, &mut live).with_tag(8);
-        let reports = e.run_slots(std::slice::from_mut(&mut slot), 500);
-        assert!(reports[0].consumed_cycles >= 500);
-    }
-
-    #[test]
-    fn recently_used_carries_survive_the_sweep() {
-        let mut e = engine();
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut a = FixedSequence::new("a", ops.clone());
-        let mut b = FixedSequence::new("b", ops);
-        // Alternative execution: the two tags take turns, so neither ever
-        // goes stale even across many sweeps.
-        for call in 0..(2 * CARRY_PRUNE_INTERVAL + 3) {
-            if call % 2 == 0 {
-                let mut slot = ExecSlot::new(CoreId(0), 1, &mut a).with_tag(1);
-                e.run_slots(std::slice::from_mut(&mut slot), 500);
-            } else {
-                let mut slot = ExecSlot::new(CoreId(0), 2, &mut b).with_tag(2);
-                e.run_slots(std::slice::from_mut(&mut slot), 500);
-            }
-        }
-        assert_eq!(e.carried_op_buffers(), 2);
-    }
-
     fn lcg_ops(seed: u64, count: usize) -> Vec<Op> {
         let mut state = seed | 1;
         (0..count)
@@ -1403,16 +1199,18 @@ mod tests {
                         .with_mem_parallelism(1.0 + w as f64)
                 })
                 .collect();
+            let mut buffers = vec![OpBuffer::default(); workloads.len()];
             let mut all_reports = Vec::new();
             for round in 0..3 {
                 let mut slots: Vec<ExecSlot<'_>> = workloads
                     .iter_mut()
+                    .zip(&mut buffers)
                     .enumerate()
-                    .map(|(w, wl)| {
+                    .map(|(w, (wl, ops))| {
                         // Slots 0,1 on socket 0 (cores 0,1); slots 2,3 on
                         // socket 1 (cores 4,5).
                         let core = CoreId(if w < 2 { w } else { w + 2 });
-                        ExecSlot::new(core, w as OwnerId + 1, wl).with_tag(w as u64 + 1)
+                        ExecSlot::new(core, w as OwnerId + 1, wl).with_ops(ops)
                     })
                     .collect();
                 let reports = if parallel {
@@ -1468,8 +1266,8 @@ mod tests {
         // Owner 1 has slots on both sockets: one shadow cache, two threads —
         // the engine must take the serial path instead.
         let mut slots = vec![
-            ExecSlot::new(CoreId(0), 1, &mut a).with_tag(10),
-            ExecSlot::new(CoreId(4), 1, &mut b).with_tag(11),
+            ExecSlot::new(CoreId(0), 1, &mut a),
+            ExecSlot::new(CoreId(4), 1, &mut b),
         ];
         let reports = e.run_slots_parallel(&mut slots, 5_000);
         assert!(reports.iter().all(|r| r.consumed_cycles >= 5_000));
@@ -1497,10 +1295,7 @@ mod tests {
             let mut slots: Vec<ExecSlot<'_>> = cores
                 .iter()
                 .zip(owners)
-                .map(|(&core, owner)| {
-                    ExecSlot::new(CoreId(core), owner, iter.next().unwrap())
-                        .with_tag(core as u64 + 100)
-                })
+                .map(|(&core, owner)| ExecSlot::new(CoreId(core), owner, iter.next().unwrap()))
                 .collect();
             let reports = if parallel {
                 e.run_slots_parallel(&mut slots, 20_000)
@@ -1541,8 +1336,8 @@ mod tests {
         let mut a = FixedSequence::new("a", ops.clone());
         let mut b = FixedSequence::new("b", ops.clone());
         let mut slots = vec![
-            ExecSlot::new(CoreId(0), 1, &mut a).with_tag(10),
-            ExecSlot::new(CoreId(4), 1, &mut b).with_tag(11),
+            ExecSlot::new(CoreId(0), 1, &mut a),
+            ExecSlot::new(CoreId(4), 1, &mut b),
         ];
         e.run_slots_parallel(&mut slots, 5_000);
         assert_eq!(
@@ -1553,8 +1348,8 @@ mod tests {
         drop(slots);
         let mut c = FixedSequence::new("c", ops);
         let mut slots = vec![
-            ExecSlot::new(CoreId(0), 1, &mut a).with_tag(10),
-            ExecSlot::new(CoreId(4), 2, &mut c).with_tag(12),
+            ExecSlot::new(CoreId(0), 1, &mut a),
+            ExecSlot::new(CoreId(4), 2, &mut c),
         ];
         let reports = e.run_slots_parallel(&mut slots, 5_000);
         assert_eq!(
@@ -1567,17 +1362,20 @@ mod tests {
     }
 
     #[test]
-    fn op_buffers_carry_across_calls_per_tag() {
-        // A FixedSequence visiting distinct lines: if the engine dropped the
-        // prefetched-but-unexecuted ops between calls, the visited address
-        // sequence would skip lines and the total distinct-line count of two
-        // short calls would diverge from one long call.
+    fn an_op_buffer_carries_its_stream_across_calls_and_cores() {
+        // A FixedSequence visiting distinct lines: if prefetched-but-
+        // unexecuted ops were lost between calls, the visited address
+        // sequence would skip lines and the total distinct-line count of
+        // three short calls would diverge from one long call. The short
+        // calls hop between cores of the socket: the stream's continuity
+        // lives in its buffer, not in where it ran last.
         let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let run = |budgets: &[u64]| -> u64 {
+        let run = |calls: &[(usize, u64)]| -> u64 {
             let mut e = engine();
             let mut wl = FixedSequence::new("seq", ops.clone());
-            for &budget in budgets {
-                let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(7);
+            let mut buffer = OpBuffer::default();
+            for &(core, budget) in calls {
+                let mut slot = ExecSlot::new(CoreId(core), 1, &mut wl).with_ops(&mut buffer);
                 e.run_slots(std::slice::from_mut(&mut slot), budget);
             }
             e.machine()
@@ -1587,168 +1385,13 @@ mod tests {
                 .stats()
                 .accesses
         };
-        let split = run(&[3_000, 3_000, 3_000]);
-        let joined = run(&[9_000]);
+        let split = run(&[(0, 3_000), (1, 3_000), (2, 3_000)]);
+        let joined = run(&[(0, 9_000)]);
         // Each extra call can overshoot by at most one op, so the two runs
         // stay within a few accesses of each other.
         assert!(
             split.abs_diff(joined) <= 4,
             "split={split}, joined={joined}"
         );
-    }
-
-    #[test]
-    fn clear_op_buffer_restarts_the_stream_for_a_tag() {
-        let ops: Vec<Op> = (0..256u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut e = engine();
-        let mut wl = FixedSequence::new("seq", ops);
-        let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(42);
-        e.run_slots(std::slice::from_mut(&mut slot), 1_000);
-        e.clear_op_buffer(42);
-        e.clear_op_buffers();
-        // After clearing, running again must still work (fresh fetch).
-        let reports = e.run_slots(std::slice::from_mut(&mut slot), 1_000);
-        assert!(reports[0].consumed_cycles >= 1_000);
-    }
-
-    #[test]
-    fn blocked_slots_report_nothing_and_charge_nothing() {
-        // A blocked slot must produce an all-zero report, leave its own
-        // PMCs untouched, and leave the runnable slots' results exactly as
-        // a call without it would.
-        let ops = lcg_ops(3, 2048);
-        let run = |with_blocked: bool| {
-            let mut e = engine();
-            let mut runnable = FixedSequence::new("runnable", ops.clone());
-            let mut sleeper = FixedSequence::new("sleeper", ops.clone());
-            let mut slots = vec![ExecSlot::new(CoreId(0), 1, &mut runnable).with_tag(1)];
-            if with_blocked {
-                slots.push(
-                    ExecSlot::new(CoreId(1), 2, &mut sleeper)
-                        .with_tag(2)
-                        .with_blocked(true),
-                );
-            }
-            let reports = e.run_slots(&mut slots, 10_000);
-            if with_blocked {
-                assert_eq!(reports[1], QuantumReport::default());
-                assert_eq!(slots[1].pmcs, PmcSet::default());
-            }
-            (reports[0], slots[0].pmcs, e.elapsed_cycles())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn an_all_blocked_call_is_free_and_preserves_carries() {
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let mut e = engine();
-        let mut wl = FixedSequence::new("seq", ops);
-        let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(9);
-        e.run_slots(std::slice::from_mut(&mut slot), 3_000);
-        let elapsed = e.elapsed_cycles();
-        let carried = e.carried_op_buffers();
-        let mut blocked = ExecSlot::new(CoreId(0), 1, &mut wl)
-            .with_tag(9)
-            .with_blocked(true);
-        let reports = e.run_slots(std::slice::from_mut(&mut blocked), 3_000);
-        assert_eq!(reports[0], QuantumReport::default());
-        assert_eq!(
-            e.elapsed_cycles(),
-            elapsed,
-            "blocked calls charge no cycles"
-        );
-        assert_eq!(e.carried_op_buffers(), carried);
-    }
-
-    #[test]
-    fn a_long_block_does_not_lose_the_prefetched_op_stream() {
-        // The stale-carry sweep reclaims tags unseen for CARRY_STALE_AFTER
-        // calls; a blocked slot *is* seen, so its prefetched ops must
-        // survive arbitrarily long sleeps and the stream must continue
-        // seamlessly on wake — same distinct-line continuity check as
-        // `op_buffers_carry_across_calls_per_tag`.
-        let ops: Vec<Op> = (0..1024u64).map(|i| Op::Load { addr: i * 64 }).collect();
-        let run = |sleep_calls: u64| -> u64 {
-            let mut e = engine();
-            let mut wl = FixedSequence::new("seq", ops.clone());
-            let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(7);
-            e.run_slots(std::slice::from_mut(&mut slot), 3_000);
-            for _ in 0..sleep_calls {
-                let mut blocked = ExecSlot::new(CoreId(0), 1, &mut wl)
-                    .with_tag(7)
-                    .with_blocked(true);
-                e.run_slots(std::slice::from_mut(&mut blocked), 3_000);
-            }
-            assert_eq!(e.carried_op_buffers(), 1, "the sleeping stream survives");
-            let mut slot = ExecSlot::new(CoreId(0), 1, &mut wl).with_tag(7);
-            e.run_slots(std::slice::from_mut(&mut slot), 3_000);
-            e.machine()
-                .socket(crate::topology::SocketId(0))
-                .unwrap()
-                .llc()
-                .stats()
-                .accesses
-        };
-        // Sleep well past CARRY_STALE_AFTER (1024) + the prune interval.
-        let slept = run(1300);
-        let awake = run(0);
-        assert!(slept.abs_diff(awake) <= 4, "slept={slept}, awake={awake}");
-    }
-
-    #[test]
-    fn parallel_path_matches_serial_with_blocked_slots() {
-        // The four-slot two-socket scenario with a rotating blocked slot:
-        // both paths must agree bit-for-bit, including rounds where a whole
-        // socket is asleep (serial fallback), a round where every slot is
-        // asleep (no runnable slot at all) and rounds where both sockets
-        // stay populated.
-        let config = MachineConfig::scaled_paper_numa_machine(64);
-        let run = |parallel: bool| {
-            let mut e = SimEngine::new(Machine::new(config.clone()));
-            let mut workloads: Vec<FixedSequence> = (0..4)
-                .map(|w| {
-                    FixedSequence::new(format!("wl{w}"), lcg_ops(w as u64 + 1, 2048))
-                        .with_mem_parallelism(1.0 + w as f64)
-                })
-                .collect();
-            let mut all_reports = Vec::new();
-            for round in 0..7usize {
-                let mut slots: Vec<ExecSlot<'_>> = workloads
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, wl)| {
-                        let core = CoreId(if w < 2 { w } else { w + 2 });
-                        // Rounds 0-3 block one slot each; round 4 blocks all
-                        // of socket 1; round 5 blocks everyone; round 6 runs
-                        // everyone.
-                        let blocked = match round {
-                            0..=3 => w == round,
-                            4 => w >= 2,
-                            5 => true,
-                            _ => false,
-                        };
-                        ExecSlot::new(core, w as OwnerId + 1, wl)
-                            .with_tag(w as u64 + 1)
-                            .with_blocked(blocked)
-                    })
-                    .collect();
-                let reports = if parallel {
-                    e.run_slots_parallel(&mut slots, 8_000)
-                } else {
-                    e.run_slots(&mut slots, 8_000)
-                };
-                for (slot, report) in slots.iter().zip(&reports) {
-                    if slot.blocked {
-                        assert_eq!(*report, QuantumReport::default());
-                    }
-                }
-                all_reports.push(reports);
-            }
-            let llc0 = e.machine().llc_stats(crate::topology::SocketId(0)).unwrap();
-            let llc1 = e.machine().llc_stats(crate::topology::SocketId(1)).unwrap();
-            (all_reports, llc0, llc1, e.elapsed_cycles())
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -68,7 +68,7 @@ pub mod topology;
 pub mod workload;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use engine::{ExecSlot, QuantumReport, SimEngine};
+pub use engine::{ExecSlot, OpBuffer, QuantumReport, SimEngine};
 pub use error::SimError;
 pub use hierarchy::{AccessKind, AccessOutcome, MemLevel};
 pub use pmc::{PmcSet, VirtualPmu};

@@ -105,12 +105,13 @@ pub trait Workload: Send {
     ///
     /// The hypervisor polls this after every scheduled tick; a `true` parks
     /// the vCPU in the Blocked state until a wake event arrives, at which
-    /// point [`Workload::on_wake`] is called. Note that the engine
-    /// *prefetches* ops in chunks, so by the time a tick finishes the
-    /// workload may have emitted ops that are still queued — implementations
-    /// should report the intent to block based on their own emission
-    /// progress, and the default of `false` keeps every existing workload
-    /// always runnable.
+    /// point [`Workload::on_wake`] is called. Note that a buffered slot
+    /// (see [`crate::engine::ExecSlot::with_ops`]) *prefetches* ops in
+    /// chunks, so by the time a tick finishes the workload may have emitted
+    /// ops that still sit in its [`crate::engine::OpBuffer`]; they execute
+    /// first after the wake. Implementations should report the intent to
+    /// block based on their own emission progress, and the default of
+    /// `false` keeps every existing workload always runnable.
     fn wants_block(&self) -> bool {
         false
     }

@@ -11,13 +11,15 @@
 //! replacement policies, budgets, slot counts, machines of 1/2/4/8 sockets
 //! (placements spreading slots across every socket), and the paper's
 //! execution modes (parallel co-scheduling and
-//! alternative time-sharing over successive calls, which exercises the
-//! carried op buffers). Padded bursts pin the compute-run rule: buffered
-//! compute ops run without yielding, and a chunk is fetched only to execute
-//! its first op.
+//! alternative time-sharing over successive calls, which exercises each
+//! workload's op buffer carrying its stream across calls and cores). The
+//! unbuffered `run_slots` path, which fetches one op at a time, is held to
+//! the same bar. Padded bursts pin the compute-run rule: buffered compute
+//! ops run without yielding, and a chunk is fetched only to execute its
+//! first op.
 
 use kyoto_sim::cache::OwnerId;
-use kyoto_sim::engine::{ExecSlot, SimEngine};
+use kyoto_sim::engine::{ExecSlot, OpBuffer, SimEngine};
 use kyoto_sim::pmc::PmcSet;
 use kyoto_sim::replacement::ReplacementPolicy;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
@@ -86,11 +88,46 @@ struct SlotSpec {
 enum EnginePath {
     /// `run_slots_reference`: one op at a time, no batching.
     Reference,
-    /// `run_slots`: batched op fetching, epoch interleaving, one thread.
+    /// `run_slots` with a per-workload op buffer: 64-op chunked fetching,
+    /// epoch interleaving, one thread.
     Batched,
-    /// `run_slots_parallel`: epoch interleaving per socket, one thread per
-    /// populated socket.
+    /// `run_slots` without op buffers: one op fetched at a time.
+    Unbuffered,
+    /// `run_slots_parallel` with per-workload op buffers: epoch
+    /// interleaving per socket, one thread per populated socket.
     Parallel,
+}
+
+impl EnginePath {
+    /// Builds the slot for `workload` on this path: batched paths lend the
+    /// workload's own op buffer, the others run unbuffered.
+    fn slot<'a>(
+        self,
+        core: usize,
+        owner: OwnerId,
+        workload: &'a mut dyn Workload,
+        ops: &'a mut OpBuffer,
+    ) -> ExecSlot<'a> {
+        let slot = ExecSlot::new(CoreId(core), owner, workload);
+        match self {
+            EnginePath::Batched | EnginePath::Parallel => slot.with_ops(ops),
+            EnginePath::Reference | EnginePath::Unbuffered => slot,
+        }
+    }
+
+    /// Runs one call of `slots` through this path's engine entry point.
+    fn run(
+        self,
+        engine: &mut SimEngine,
+        slots: &mut [ExecSlot<'_>],
+        budget: u64,
+    ) -> Vec<kyoto_sim::QuantumReport> {
+        match self {
+            EnginePath::Reference => engine.run_slots_reference(slots, budget),
+            EnginePath::Batched | EnginePath::Unbuffered => engine.run_slots(slots, budget),
+            EnginePath::Parallel => engine.run_slots_parallel(slots, budget),
+        }
+    }
 }
 
 /// Which workloads participate in each successive `run_slots` call.
@@ -199,13 +236,14 @@ fn run_path(
     }
     // Working sets straddle the LLC so hits, misses and cross-owner
     // evictions all occur.
-    let mut workloads: Vec<LcgWorkload> = (0..workload_count)
+    let mut streams: Vec<(LcgWorkload, OpBuffer)> = (0..workload_count)
         .map(|w| {
-            LcgWorkload::new(
+            let workload = LcgWorkload::new(
                 seed.wrapping_add(w as u64).wrapping_mul(0x9e3779b9) | 1,
                 llc_lines / 2 + (w as u64 + 1) * llc_lines / 3,
                 1.0 + w as f64 * 2.0,
-            )
+            );
+            (workload, OpBuffer::default())
         })
         .collect();
     let mut pmcs = vec![PmcSet::default(); workload_count];
@@ -213,23 +251,19 @@ fn run_path(
 
     for (call, &budget) in budgets.iter().enumerate() {
         let selected = participants(mode, call, workload_count, sockets);
-        let mut remaining: Vec<&mut LcgWorkload> = workloads.iter_mut().collect();
+        let mut remaining: Vec<&mut (LcgWorkload, OpBuffer)> = streams.iter_mut().collect();
         // Pull the selected workloads out in index order so each call can
         // borrow several of them mutably at once.
         let mut slots: Vec<ExecSlot<'_>> = Vec::new();
         let mut slot_workload_indices = Vec::new();
         for &(w, spec) in selected.iter().rev() {
-            let workload = remaining.remove(w);
-            slots.push(ExecSlot::new(CoreId(spec.core), spec.owner, workload));
+            let (workload, ops) = remaining.remove(w);
+            slots.push(path.slot(spec.core, spec.owner, workload, ops));
             slot_workload_indices.push(w);
         }
         slots.reverse();
         slot_workload_indices.reverse();
-        let call_reports = match path {
-            EnginePath::Batched => engine.run_slots(&mut slots, budget),
-            EnginePath::Reference => engine.run_slots_reference(&mut slots, budget),
-            EnginePath::Parallel => engine.run_slots_parallel(&mut slots, budget),
-        };
+        let call_reports = path.run(&mut engine, &mut slots, budget);
         for (slot, &w) in slots.iter().zip(&slot_workload_indices) {
             pmcs[w] += slot.pmcs;
         }
@@ -301,12 +335,13 @@ fn arb_mode() -> impl Strategy<Value = Mode> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The batched/epoch path and the per-op reference produce identical
-    /// simulations: reports, PMCs, LLC statistics, per-owner attribution
-    /// and shadow misses all match exactly — on the single-socket and the
-    /// two-socket machine.
+    /// The batched/epoch path, buffered or not, and the per-op reference
+    /// produce identical simulations: reports, PMCs, LLC statistics,
+    /// per-owner attribution and shadow misses all match exactly — on the
+    /// single-socket and the two-socket machine.
     #[test]
     fn batched_path_is_bit_identical_to_reference(
+        path in prop_oneof![Just(EnginePath::Batched), Just(EnginePath::Unbuffered)],
         policy in arb_policy(),
         mode in arb_mode(),
         seed in 0u64..1_000_000,
@@ -315,7 +350,7 @@ proptest! {
         shadow in prop_oneof![Just(false), Just(true)],
         sockets in prop_oneof![Just(1usize), Just(2)],
     ) {
-        let batched = run_path(EnginePath::Batched, policy, mode, seed, workload_count, &budgets, shadow, sockets);
+        let batched = run_path(path, policy, mode, seed, workload_count, &budgets, shadow, sockets);
         let reference = run_path(EnginePath::Reference, policy, mode, seed, workload_count, &budgets, shadow, sockets);
         prop_assert_eq!(batched, reference);
     }
@@ -372,11 +407,11 @@ proptest! {
     }
 }
 
-/// Non-property smoke check: the carried op buffer really continues the
+/// Non-property smoke check: a workload's op buffer really continues the
 /// stream (a workload interrupted mid-chunk resumes where the engine
 /// stopped consuming, not where the prefetch stopped).
 #[test]
-fn carried_op_buffers_preserve_the_stream_across_calls() {
+fn op_buffers_preserve_the_stream_across_calls() {
     let many_small_budgets: Vec<u64> = (0..12).map(|i| 700 + i * 137).collect();
     let one_big_budget = [many_small_budgets.iter().sum::<u64>()];
     let split = run_path(
@@ -456,22 +491,20 @@ fn run_padded(path: EnginePath, shadow: bool) -> Observed {
     ];
     let second = engine.machine().config().cores_per_socket;
     let cores = [0, 1, 2, 3, second, second + 1];
+    let mut buffers = vec![OpBuffer::default(); workloads.len()];
     let mut pmcs = vec![PmcSet::default(); workloads.len()];
     let mut reports = Vec::new();
     for &budget in &PADDED_BUDGETS {
         let mut slots: Vec<ExecSlot<'_>> = workloads
             .iter_mut()
+            .zip(&mut buffers)
             .zip(cores)
             .enumerate()
-            .map(|(w, (workload, core))| {
-                ExecSlot::new(CoreId(core), w as OwnerId + 1, workload.as_mut())
+            .map(|(w, ((workload, ops), core))| {
+                path.slot(core, w as OwnerId + 1, workload.as_mut(), ops)
             })
             .collect();
-        reports.push(match path {
-            EnginePath::Batched => engine.run_slots(&mut slots, budget),
-            EnginePath::Reference => engine.run_slots_reference(&mut slots, budget),
-            EnginePath::Parallel => engine.run_slots_parallel(&mut slots, budget),
-        });
+        reports.push(path.run(&mut engine, &mut slots, budget));
         for (total, slot) in pmcs.iter_mut().zip(&slots) {
             *total += slot.pmcs;
         }
@@ -480,8 +513,8 @@ fn run_padded(path: EnginePath, shadow: bool) -> Observed {
 }
 
 /// Runs of buffered compute ops execute without yielding to the other
-/// slots, yet the batched and socket-parallel paths stay bit-identical to
-/// the per-op reference: same reports, PMCs, LLC statistics, attribution
+/// slots, yet the batched (buffered and unbuffered) and socket-parallel
+/// paths stay bit-identical to the per-op reference: same reports, PMCs, LLC statistics, attribution
 /// and shadow misses, with shadow attribution off and on.
 #[test]
 fn compute_runs_keep_both_batched_paths_bit_identical() {
@@ -512,6 +545,11 @@ fn compute_runs_keep_both_batched_paths_bit_identical() {
             reference,
             "run_slots_parallel diverged (shadow {shadow})"
         );
+        assert_eq!(
+            run_padded(EnginePath::Unbuffered, shadow),
+            reference,
+            "unbuffered run_slots diverged (shadow {shadow})"
+        );
     }
 }
 
@@ -541,13 +579,18 @@ impl Workload for CountingFills {
 }
 
 /// The engine fetches a chunk only to execute its first op, never to look
-/// at the next op: after every call, each slot's fetch count is exactly
-/// ceil(executed ops / 64). Refill timing is observable (an `Interactive`
-/// burst is accounted at fetch time; migration drops prefetched ops), so
-/// running buffered compute ops ahead must not fetch early.
+/// at the next op: after every call, each buffered slot's fetch count is
+/// exactly ceil(executed ops / 64), and an unbuffered slot fetches exactly
+/// the ops it executes. Refill timing is observable (an `Interactive` burst
+/// is accounted at fetch time; migration drops prefetched ops), so running
+/// buffered compute ops ahead must not fetch early.
 #[test]
 fn the_engine_fetches_a_chunk_only_to_execute_its_first_op() {
-    for path in [EnginePath::Batched, EnginePath::Parallel] {
+    for path in [
+        EnginePath::Batched,
+        EnginePath::Parallel,
+        EnginePath::Unbuffered,
+    ] {
         let mut engine = SimEngine::new(Machine::new(MachineConfig::scaled_cloud_machine(2, 256)));
         let cores_per_socket = engine.machine().config().cores_per_socket;
         let mut workloads: Vec<CountingFills> =
@@ -559,6 +602,12 @@ fn the_engine_fetches_a_chunk_only_to_execute_its_first_op() {
                 })
                 .collect();
         let cores = [0, 1, 2, cores_per_socket];
+        let mut buffers = vec![OpBuffer::default(); workloads.len()];
+        let chunk: u64 = if path == EnginePath::Unbuffered {
+            1
+        } else {
+            64
+        };
         let mut executed = [0u64; 4];
         // Calls after which some slot had drained its last chunk exactly:
         // the case where fetching to peek would show.
@@ -566,25 +615,23 @@ fn the_engine_fetches_a_chunk_only_to_execute_its_first_op() {
         for &budget in &PADDED_BUDGETS {
             let mut slots: Vec<ExecSlot<'_>> = workloads
                 .iter_mut()
+                .zip(&mut buffers)
                 .zip(cores)
                 .enumerate()
-                .map(|(w, (workload, core))| {
-                    ExecSlot::new(CoreId(core), w as OwnerId + 1, workload)
+                .map(|(w, ((workload, ops), core))| {
+                    path.slot(core, w as OwnerId + 1, workload, ops)
                 })
                 .collect();
-            let reports = match path {
-                EnginePath::Batched => engine.run_slots(&mut slots, budget),
-                _ => engine.run_slots_parallel(&mut slots, budget),
-            };
+            let reports = path.run(&mut engine, &mut slots, budget);
             drop(slots);
             for ((count, report), workload) in executed.iter_mut().zip(&reports).zip(&workloads) {
                 *count += report.pmc_delta.instructions;
                 assert_eq!(
                     workload.fills,
-                    count.div_ceil(64),
+                    count.div_ceil(chunk),
                     "{path:?}: {count} executed ops after a {budget}-cycle call"
                 );
-                drained_at_call_end += usize::from(*count % 64 == 0);
+                drained_at_call_end += usize::from(*count % chunk == 0);
             }
         }
         assert!(drained_at_call_end > 0, "no call ended on a chunk boundary");

@@ -21,10 +21,12 @@ use kyoto_sim::workload::{Op, Workload};
 /// compute ops and reports [`Workload::wants_block`] — the hypervisor parks
 /// the vCPU at the end of the tick. [`Workload::on_wake`] re-arms the burst.
 ///
-/// Note on granularity: the engine prefetches ops in chunks ahead of
-/// execution, so a burst shorter than one tick's budget drains during the
-/// first scheduled tick and the vCPU runs exactly one tick per wake. Larger
-/// bursts simply span several consecutive ticks before the WFI.
+/// Note on granularity: the hypervisor prefetches a vCPU's ops in chunks
+/// into the vCPU's op buffer ahead of execution, so a burst shorter than
+/// one tick's budget drains during the first scheduled tick and the vCPU
+/// runs exactly one tick per wake. Padding left in the buffer when the tick
+/// ends runs first after the next wake, before the new burst. Larger bursts
+/// simply span several consecutive ticks before the WFI.
 #[derive(Debug, Clone)]
 pub struct Interactive<W> {
     name: String,
