@@ -209,9 +209,10 @@ fn traced_engine_rate(slots: usize, scale: u64, enabled: bool) -> f64 {
 /// Throughput of the batched path on one socket with one gcc-like slot and
 /// three drained [`Interactive`] services: the shape of a timer-woken heavy
 /// tick on a consolidated host, where each service has spent its burst and
-/// pads the rest of its tick with `Compute { cycles: 1 }`. The padded slots
-/// share one clock, so this row prices the engine's compute-op runs rather
-/// than the cache.
+/// pads the rest of its tick with `Compute { cycles: 1 }`. The engine
+/// charges a drained slot's padding in one step, so this row prices that
+/// fast-forward and the gcc slot rather than per-op padding; it drops if
+/// drained slots go back to being stepped op by op.
 fn padded_engine_rate(scale: u64) -> f64 {
     const BUDGET: u64 = 100_000;
     const SLOTS: usize = 4;

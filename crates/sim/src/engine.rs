@@ -157,6 +157,27 @@ impl OpBuffer {
         op
     }
 
+    /// Charges the rest of `cycle_budget` to a drained slot whose workload
+    /// wants to block, in one step: by the [`Workload::wants_block`]
+    /// contract every op it would fetch is `Compute { cycles: 1 }` and
+    /// fetching one changes nothing, so the `n` remaining cycles are `n`
+    /// padding ops — `n` instructions and `n` unhalted cycles. The buffer
+    /// keeps what the op loop would have left of its last `chunk`-op fetch
+    /// (`(chunk - n % chunk) % chunk` padding ops), which runs after
+    /// [`Workload::on_wake`] exactly as before; an unbuffered slot
+    /// (`chunk == 1`) keeps none.
+    fn skip_padding(&mut self, report: &mut QuantumReport, cycle_budget: u64, chunk: usize) {
+        let n = cycle_budget - report.consumed_cycles;
+        report.consumed_cycles = cycle_budget;
+        report.pmc_delta.instructions += n;
+        report.pmc_delta.unhalted_core_cycles += n;
+        let chunk = chunk as u64;
+        let tail = (chunk - n % chunk) % chunk;
+        self.buf.clear();
+        self.buf.resize(tail as usize, Op::Compute { cycles: 1 });
+        self.head = 0;
+    }
+
     fn refill(&mut self, workload: &mut dyn Workload, chunk: usize) {
         self.buf.clear();
         self.buf.resize(chunk, Op::Compute { cycles: 1 });
@@ -360,6 +381,15 @@ struct Batch<'s, 'wl> {
 /// [`SimEngine::run_slots_reference`] defines. The run never refills to
 /// look ahead: a chunk is fetched only to execute its first op, exactly
 /// when the op-at-a-time loop would fetch it.
+///
+/// When a slot's buffer is drained and its workload
+/// [wants to block](Workload::wants_block), the rest of its budget can
+/// only be padding, which touches no shared state either: the slot is
+/// charged it in one step ([`OpBuffer::skip_padding`]) and retires, with
+/// the padding tail of the last chunk the op loop would have fetched left
+/// in its buffer. This is the discrete-event rule "advance time to the next
+/// interesting event" applied to one slot, and it is bit-identical to
+/// stepping every padding op.
 fn run_epoch_interleaving<M: AccessMem>(
     machine: &mut M,
     shadow: &mut Option<ShadowAttribution>,
@@ -394,6 +424,10 @@ fn run_epoch_interleaving<M: AccessMem>(
         let route = routes[i];
         let mlp = mlps[i];
         loop {
+            if buffer.head == buffer.buf.len() && workload.wants_block() {
+                buffer.skip_padding(report, cycle_budget, chunk);
+                break;
+            }
             let op = buffer.next(&mut **workload, chunk);
             execute_op(machine, shadow, route, *owner, mlp, op, report);
             buffer.run_buffered_compute(report, cycle_budget);
@@ -544,6 +578,14 @@ impl SimEngine {
     /// index) — unchanged. The loop never fetches ahead: a chunk is fetched
     /// only to execute its first op, so refill timing (which workloads such
     /// as `Interactive` and VM migration observe) is unchanged too.
+    ///
+    /// A slot whose buffer runs dry while its workload
+    /// [wants to block](Workload::wants_block) has only padding
+    /// (`Compute { cycles: 1 }`) left until its next wake. It is charged the
+    /// rest of the budget in one step — `n` cycles, `n` instructions, `n`
+    /// unhalted cycles — and its buffer keeps the padding the last 64-op
+    /// fetch would have left unexecuted, so the reports, the caches and the
+    /// op stream after the wake match stepping each padding op.
     ///
     /// # Panics
     ///

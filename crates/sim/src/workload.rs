@@ -112,6 +112,14 @@ pub trait Workload: Send {
     /// first after the wake. Implementations should report the intent to
     /// block based on their own emission progress, and the default of
     /// `false` keeps every existing workload always runnable.
+    ///
+    /// Contract: once this returns `true`, every op until the next
+    /// [`Workload::on_wake`] is `Op::Compute { cycles: 1 }` (idle padding),
+    /// and emitting one changes no workload state. The engine relies on
+    /// it: it also reads this when a slot's buffer runs dry, and a slot
+    /// that wants to block is charged the rest of its cycle budget as
+    /// padding in one step instead of fetching and stepping each padding
+    /// op. Decorators must forward this method.
     fn wants_block(&self) -> bool {
         false
     }

@@ -16,7 +16,10 @@
 //! unbuffered `run_slots` path, which fetches one op at a time, is held to
 //! the same bar. Padded bursts pin the compute-run rule: buffered compute
 //! ops run without yielding, and a chunk is fetched only to execute its
-//! first op.
+//! first op. Drained `Interactive` services pin the fast-forward of their
+//! padding against the same services with `wants_block` hidden: the
+//! reference has no prefetch, so it cannot model the padding a drained
+//! slot leaves in its buffer.
 
 use kyoto_sim::cache::OwnerId;
 use kyoto_sim::engine::{ExecSlot, OpBuffer, SimEngine};
@@ -25,10 +28,11 @@ use kyoto_sim::replacement::ReplacementPolicy;
 use kyoto_sim::topology::{CoreId, Machine, MachineConfig, SocketId};
 use kyoto_sim::workload::{FixedSequence, Op, Workload};
 use kyoto_sim::CacheStats;
+use kyoto_workloads::Interactive;
 use proptest::prelude::*;
 
-/// A deterministic mixed load/store/compute generator (LCG-driven) so the
-/// test does not depend on the higher-level `kyoto-workloads` crate.
+/// A deterministic mixed load/store/compute generator (LCG-driven), so the
+/// equivalence properties do not depend on the `kyoto-workloads` models.
 #[derive(Debug, Clone)]
 struct LcgWorkload {
     state: u64,
@@ -553,19 +557,32 @@ fn compute_runs_keep_both_batched_paths_bit_identical() {
     }
 }
 
-/// Counts the chunks the engine fetches from the wrapped workload.
-struct CountingFills {
-    inner: FixedSequence,
+/// Counts the chunks the engine fetches from the wrapped workload, and
+/// separately those fetched while it wanted to block.
+struct CountingFills<W> {
+    inner: W,
     fills: u64,
+    drained_fills: u64,
 }
 
-impl Workload for CountingFills {
+impl<W: Workload> CountingFills<W> {
+    fn new(inner: W) -> Self {
+        CountingFills {
+            inner,
+            fills: 0,
+            drained_fills: 0,
+        }
+    }
+}
+
+impl<W: Workload> Workload for CountingFills<W> {
     fn next_op(&mut self) -> Op {
         self.inner.next_op()
     }
 
     fn fill_ops(&mut self, buf: &mut [Op]) -> usize {
         self.fills += 1;
+        self.drained_fills += u64::from(self.inner.wants_block());
         self.inner.fill_ops(buf)
     }
 
@@ -575,6 +592,18 @@ impl Workload for CountingFills {
 
     fn working_set_bytes(&self) -> u64 {
         self.inner.working_set_bytes()
+    }
+
+    fn mem_parallelism(&self) -> f64 {
+        self.inner.mem_parallelism()
+    }
+
+    fn wants_block(&self) -> bool {
+        self.inner.wants_block()
+    }
+
+    fn on_wake(&mut self) {
+        self.inner.on_wake()
     }
 }
 
@@ -593,13 +622,10 @@ fn the_engine_fetches_a_chunk_only_to_execute_its_first_op() {
     ] {
         let mut engine = SimEngine::new(Machine::new(MachineConfig::scaled_cloud_machine(2, 256)));
         let cores_per_socket = engine.machine().config().cores_per_socket;
-        let mut workloads: Vec<CountingFills> =
+        let mut workloads: Vec<CountingFills<FixedSequence>> =
             [(0, 0), (1 << 20, 0), (2 << 20, 40), (3 << 20, 63)]
                 .into_iter()
-                .map(|(base, phase)| CountingFills {
-                    inner: padded_burst(base, phase),
-                    fills: 0,
-                })
+                .map(|(base, phase)| CountingFills::new(padded_burst(base, phase)))
                 .collect();
         let cores = [0, 1, 2, cores_per_socket];
         let mut buffers = vec![OpBuffer::default(); workloads.len()];
@@ -635,5 +661,178 @@ fn the_engine_fetches_a_chunk_only_to_execute_its_first_op() {
             }
         }
         assert!(drained_at_call_end > 0, "no call ended on a chunk boundary");
+    }
+}
+
+/// Forwards everything to the wrapped workload except, with `hide` set,
+/// [`Workload::wants_block`], which then reads `false`. A drained slot is
+/// then never fast-forwarded: the engine fetches and steps every padding
+/// op, the path it took before padding was skipped. With `hide` off the
+/// wrapper forwards `wants_block` too, so both runs share one type.
+struct HidesBlock<W> {
+    inner: W,
+    hide: bool,
+}
+
+impl<W: Workload> Workload for HidesBlock<W> {
+    fn next_op(&mut self) -> Op {
+        self.inner.next_op()
+    }
+
+    fn fill_ops(&mut self, buf: &mut [Op]) -> usize {
+        self.inner.fill_ops(buf)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn working_set_bytes(&self) -> u64 {
+        self.inner.working_set_bytes()
+    }
+
+    fn mem_parallelism(&self) -> f64 {
+        self.inner.mem_parallelism()
+    }
+
+    fn wants_block(&self) -> bool {
+        !self.hide && self.inner.wants_block()
+    }
+
+    fn on_wake(&mut self) {
+        self.inner.on_wake()
+    }
+}
+
+type Service = HidesBlock<CountingFills<Interactive<LcgWorkload>>>;
+
+/// Call budgets of the fast-forward scenario: none a multiple of 64, so
+/// drained slots stop mid-chunk and leave padding in their buffers.
+const SERVICE_BUDGETS: [u64; 11] = [
+    1_000, 777, 131, 20_011, 2_050, 333, 12_345, 900, 65, 9_001, 5_003,
+];
+
+/// Each service's `remaining_ops` and next ops after a final wake.
+#[derive(Debug, PartialEq)]
+struct AfterWake {
+    remaining: Vec<u32>,
+    streams: Vec<Vec<Op>>,
+}
+
+/// Four `Interactive` services (bursts below, across and far above one
+/// 64-op chunk) share a two-socket machine with two memory-heavy LCG
+/// slots; between calls, drained services are woken on a fixed schedule
+/// that leaves some asleep for several calls. Returns the observables, the
+/// post-wake streams, each service's fetches made while drained, and the
+/// number of wakes that found a partial chunk of padding in the buffer.
+fn run_services(
+    path: EnginePath,
+    shadow: bool,
+    hide: bool,
+) -> (Observed, AfterWake, Vec<u64>, usize) {
+    let mut engine = SimEngine::new(Machine::new(MachineConfig::scaled_cloud_machine(2, 256)));
+    if shadow {
+        engine.enable_shadow_attribution().unwrap();
+    }
+    let second = engine.machine().config().cores_per_socket;
+    let mut services: Vec<Service> = [(48u32, 3u64), (100, 5), (700, 7), (37, 11)]
+        .into_iter()
+        .map(|(burst, seed)| HidesBlock {
+            inner: CountingFills::new(Interactive::new(LcgWorkload::new(seed, 900, 2.0), burst)),
+            hide,
+        })
+        .collect();
+    let mut polluters = [
+        LcgWorkload::new(17, 3000, 1.0),
+        LcgWorkload::new(29, 3000, 4.0),
+    ];
+    let cores = [0, 1, second, 2, 3, second + 1];
+    let slots_total = cores.len();
+    let mut buffers = vec![OpBuffer::default(); slots_total];
+    let mut pmcs = vec![PmcSet::default(); slots_total];
+    let chunk = if path == EnginePath::Unbuffered {
+        1
+    } else {
+        64
+    };
+    let mut executed = [0u64; 4];
+    let mut partial_wakes = 0;
+    let mut reports = Vec::new();
+    for (call, &budget) in SERVICE_BUDGETS.iter().enumerate() {
+        let workloads = services
+            .iter_mut()
+            .map(|service| service as &mut dyn Workload)
+            .chain(polluters.iter_mut().map(|lcg| lcg as &mut dyn Workload));
+        let mut slots: Vec<ExecSlot<'_>> = workloads
+            .zip(&mut buffers)
+            .zip(cores)
+            .enumerate()
+            .map(|(w, ((workload, ops), core))| path.slot(core, w as OwnerId + 1, workload, ops))
+            .collect();
+        let call_reports = path.run(&mut engine, &mut slots, budget);
+        for (total, slot) in pmcs.iter_mut().zip(&slots) {
+            *total += slot.pmcs;
+        }
+        drop(slots);
+        for (s, service) in services.iter_mut().enumerate() {
+            executed[s] += call_reports[s].pmc_delta.instructions;
+            let interactive = &mut service.inner.inner;
+            if interactive.wants_block() && (call + s) % 3 != 0 {
+                // Without fast-forwarding, the buffer holds what the last
+                // fetched chunk has not executed yet.
+                partial_wakes += usize::from(service.inner.fills * chunk > executed[s]);
+                interactive.on_wake();
+            }
+        }
+        reports.push(call_reports);
+    }
+    let observed = observe(&engine, reports, pmcs);
+    let drained_fills = services.iter().map(|s| s.inner.drained_fills).collect();
+    let after = AfterWake {
+        remaining: services
+            .iter_mut()
+            .map(|service| {
+                service.on_wake();
+                service.inner.inner.remaining_ops()
+            })
+            .collect(),
+        streams: services
+            .iter_mut()
+            .map(|service| (0..800).map(|_| service.next_op()).collect())
+            .collect(),
+    };
+    (observed, after, drained_fills, partial_wakes)
+}
+
+/// Fast-forwarding a drained slot is invisible: against the same
+/// `Interactive` services with `wants_block` hidden (so the engine steps
+/// every padding op), `run_slots` — buffered and unbuffered — and
+/// `run_slots_parallel` produce the same per-call reports, PMCs, LLC
+/// statistics and attribution, shadow misses and logical clock, with
+/// shadow attribution off and on; after a final wake every service has the
+/// same burst left and emits the same ops. The fast-forwarded services
+/// never fetch a chunk while drained.
+#[test]
+fn fast_forwarded_padding_matches_stepped_padding() {
+    for path in [
+        EnginePath::Batched,
+        EnginePath::Parallel,
+        EnginePath::Unbuffered,
+    ] {
+        for shadow in [false, true] {
+            let (stepped, stepped_after, stepped_drained, partial_wakes) =
+                run_services(path, shadow, true);
+            let (skipped, skipped_after, skipped_drained, _) = run_services(path, shadow, false);
+            assert_eq!(skipped, stepped, "{path:?}, shadow {shadow}");
+            assert_eq!(skipped_after, stepped_after, "{path:?}, shadow {shadow}");
+            assert!(
+                stepped_drained.iter().all(|&fills| fills > 0),
+                "{path:?}: every service must drain and pad: {stepped_drained:?}"
+            );
+            assert_eq!(skipped_drained, vec![0; 4], "{path:?}, shadow {shadow}");
+            if path != EnginePath::Unbuffered {
+                assert!(partial_wakes > 0, "{path:?}: no wake found a partial chunk");
+            }
+        }
     }
 }

@@ -24,9 +24,14 @@ use kyoto_sim::workload::{Op, Workload};
 /// Note on granularity: the hypervisor prefetches a vCPU's ops in chunks
 /// into the vCPU's op buffer ahead of execution, so a burst shorter than
 /// one tick's budget drains during the first scheduled tick and the vCPU
-/// runs exactly one tick per wake. Padding left in the buffer when the tick
-/// ends runs first after the next wake, before the new burst. Larger bursts
-/// simply span several consecutive ticks before the WFI.
+/// runs exactly one tick per wake. The rest of that tick is padding, which
+/// the engine charges in one step once the buffer runs dry (the
+/// [`Workload::wants_block`] contract: padding is `Compute { cycles: 1 }`
+/// and emitting it changes nothing here). Padding left in the buffer when
+/// the tick ends — the unexecuted tail of the last chunk the engine fetched
+/// or accounted for — runs first after the next wake, before the new
+/// burst. Larger bursts simply span several consecutive ticks before the
+/// WFI.
 #[derive(Debug, Clone)]
 pub struct Interactive<W> {
     name: String,
@@ -170,6 +175,46 @@ mod tests {
             assert_eq!(a.next_op(), b.next_op());
         }
         assert_eq!(a.wants_block(), b.wants_block());
+    }
+
+    #[test]
+    fn padding_has_no_side_effect() {
+        // The engine skips a drained slot's padding instead of fetching it,
+        // which is only sound if emitting padding changes nothing: a copy
+        // that skipped `k` padding ops must continue identically after the
+        // wake. The hypervisor drives its slots through `Box<dyn Workload>`,
+        // so the boxed copy must report the drained state too.
+        for k in [0usize, 1, 37, 64, 200] {
+            let mut padded = Interactive::new(Streaming::new(1 << 16, 9).with_mem_fraction(0.5), 5);
+            for _ in 0..5 {
+                padded.next_op();
+            }
+            assert!(padded.wants_block());
+            let mut skipped = padded.clone();
+            let mut boxed = padded.try_clone_box().unwrap();
+            assert!(
+                boxed.wants_block(),
+                "the Box forwarder must report the drain"
+            );
+            for _ in 0..k {
+                assert_eq!(padded.next_op(), Op::Compute { cycles: 1 });
+            }
+            let mut chunk = [Op::Load { addr: 0 }; 64];
+            padded.fill_ops(&mut chunk);
+            assert!(chunk.iter().all(|&op| op == Op::Compute { cycles: 1 }));
+            assert!(padded.wants_block());
+            padded.on_wake();
+            skipped.on_wake();
+            boxed.on_wake();
+            assert_eq!(padded.remaining_ops(), skipped.remaining_ops());
+            for _ in 0..20 {
+                let op = padded.next_op();
+                assert_eq!(op, skipped.next_op(), "after {k} padding ops");
+                assert_eq!(op, boxed.next_op(), "after {k} padding ops");
+            }
+            assert_eq!(padded.remaining_ops(), skipped.remaining_ops());
+            assert!(padded.wants_block() && boxed.wants_block());
+        }
     }
 
     #[test]
